@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CoincidentEyesError, DegenerateFaceError, EmptyCropError
+from .errors import (CoincidentEyesError, DegenerateFaceError, EmptyCropError,
+                     MalformedLandmarksError)
 from .imaging import resize_bilinear, warp_rotate
 
 ALIGNED_SIZE = 128
@@ -117,18 +118,21 @@ def align_face(img: np.ndarray, lm: np.ndarray) -> AlignedFace:
 def read_landmarks(path) -> np.ndarray:
     """Read a .lm68 sidecar: 68 lines of ``x y`` decimal floats."""
     pts = []
-    with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            x, y = line.split()
-            pts.append((float(x), float(y)))
+    try:
+        with open(path, encoding="utf-8") as f:
+            for line in f:
+                line = line.strip()
+                if not line:
+                    continue
+                x, y = line.split()
+                pts.append((float(x), float(y)))
+    except ValueError as exc:  # also UnicodeDecodeError
+        raise MalformedLandmarksError(f"{path}: {exc}") from None
     if len(pts) != 68:
-        raise ValueError(f"{path}: expected 68 landmark lines, got {len(pts)}")
+        raise MalformedLandmarksError(f"{path}: expected 68 landmark lines, got {len(pts)}")
     out = np.array(pts, dtype=np.float64)
     if not np.isfinite(out).all():
-        raise ValueError(f"{path}: non-finite landmark coordinate")
+        raise MalformedLandmarksError(f"{path}: non-finite landmark coordinate")
     return out
 
 

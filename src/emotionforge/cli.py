@@ -38,7 +38,7 @@ from . import dataset, evaluate, stream, train
 from .alignment import align_face, read_landmarks, sidecar_path
 from .errors import EmotionForgeError, MissingSidecarError
 from .imaging import load_pgm, save_pgm
-from .nn import forward
+from .loss import sigmoid
 
 EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_INTERNAL = 0, 1, 2, 3
 
@@ -66,10 +66,7 @@ def cmd_align(args) -> int:
     for path in _pgm_files(args.in_dir):
         name = os.path.basename(path)
         try:
-            lm_path = sidecar_path(path)
-            if not os.path.exists(lm_path):
-                raise MissingSidecarError(f"no {os.path.basename(lm_path)}")
-            aligned = align_face(load_pgm(path), read_landmarks(lm_path))
+            aligned = align_face(*_load_frame(path))
             save_pgm(os.path.join(args.out, name), aligned.image)
             ok += 1
         except (EmotionForgeError, ValueError, OSError) as exc:
@@ -121,7 +118,10 @@ def cmd_train(args) -> int:
                                mode=args.mode)
     train_set = dataset.load_manifest(args.manifest, args.mode)
     val_set = dataset.load_manifest(args.val_manifest, args.mode)
-    ckpt, history = train_loop_with_progress(config, train_set, val_set)
+    ckpt, history = train.train_loop(config, train_set, val_set)
+    for rec in history.val_records:
+        _log(f"train: iteration {rec.iteration}: "
+             f"val loss {rec.loss:.4f} accuracy {rec.accuracy:.4f}")
     train.save_model(ckpt.params, args.out)
     if args.history:
         with open(args.history, "w") as f:
@@ -134,14 +134,6 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def train_loop_with_progress(config, train_set, val_set):
-    ckpt, history = train.train_loop(config, train_set, val_set)
-    for rec in history.val_records:
-        _log(f"train: iteration {rec.iteration}: "
-             f"val loss {rec.loss:.4f} accuracy {rec.accuracy:.4f}")
-    return ckpt, history
-
-
 def cmd_eval(args) -> int:
     params = train.load_model(args.model)
     mode = args.mode or params.mode
@@ -149,31 +141,24 @@ def cmd_eval(args) -> int:
         raise EmotionForgeError(f"model head is {params.mode!r}, requested {mode!r}")
     samples = dataset.load_manifest(args.manifest, mode)
 
-    preds, labels = [], []
-    all_logits = []
-    for start in range(0, len(samples), 64):
-        batch = dataset.load_batch_inputs(samples[start : start + 64])
-        logits = forward(params, batch.inputs, mode="infer")
-        all_logits.append(logits)
-        preds.extend(int(i) for i in logits.argmax(axis=1))
-        if mode == "classification":
-            labels.extend(int(t) for t in batch.class_targets)
-        else:
-            labels.extend(int(i) for i in batch.intensity_targets.argmax(axis=1))
-    cm = evaluate.confusion(np.array(preds), np.array(labels))
+    logits, labels, targets, timed = [], [], [], []
+    for batch, batch_logits, batch_labels in train._predict_batches(params, samples, mode):
+        logits.append(batch_logits)
+        labels.append(batch_labels)
+        targets.append(batch.intensity_targets)
+        if sum(map(len, timed)) < 256:
+            timed.append(batch.inputs)
+    logits = np.concatenate(logits)
+    cm = evaluate.confusion(logits.argmax(axis=1), np.concatenate(labels))
     print(evaluate.format_confusion(cm))
     print(f"accuracy: {cm.accuracy:.4f}")
     if mode == "regression":
-        from .loss import sigmoid
-        intensities = sigmoid(np.concatenate(all_logits))
-        targets = np.concatenate([
-            dataset.load_batch_inputs(samples[s : s + 64]).intensity_targets
-            for s in range(0, len(samples), 64)])
-        print(f"rmse: {evaluate.rmse(intensities, targets):.4f}")
-    # informational single-image inference timing; alignment cost excluded
-    timed = dataset.load_batch_inputs(samples[:256])
-    total, per_image = evaluate.latency_report(params, timed.inputs)
-    print(f"latency: {per_image:.4g} s/image over {timed.inputs.shape[0]} images")
+        print(f"rmse: {evaluate.rmse(sigmoid(logits), np.concatenate(targets)):.4f}")
+    # informational single-image inference timing over the first 256 decoded
+    # inputs; alignment cost excluded
+    timed = np.concatenate(timed)[:256]
+    total, per_image = evaluate.latency_report(params, timed)
+    print(f"latency: {per_image:.4g} s/image over {timed.shape[0]} images")
     return EXIT_OK
 
 

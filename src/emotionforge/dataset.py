@@ -195,17 +195,23 @@ def load_batch_inputs(batch_samples: list[Sample]) -> Batch:
     return Batch(inputs=inputs, class_targets=targets, intensity_targets=intensities)
 
 
-def batches(samples: list[Sample], batch_size: int, seed: int, epoch: int):
-    """One epoch of batches in a deterministic shuffled order.
+def _epoch_chunks(samples: list[Sample], batch_size: int, seed: int,
+                  epoch: int) -> list[list[Sample]]:
+    """One epoch's batches as sample lists, not yet decoded.
 
     The permutation comes from the pinned generator keyed by (seed, epoch);
-    the final short batch is emitted as-is.
+    the final short batch is kept as-is.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size {batch_size} must be >= 1")
     if not samples:
         raise EmptyDatasetError("no samples")
     order = Prng.derive(seed, 1, epoch).permutation(len(samples))
-    for start in range(0, len(samples), batch_size):
-        chunk = [samples[i] for i in order[start : start + batch_size]]
+    return [[samples[i] for i in order[start : start + batch_size]]
+            for start in range(0, len(samples), batch_size)]
+
+
+def batches(samples: list[Sample], batch_size: int, seed: int, epoch: int):
+    """One epoch of batches in a deterministic shuffled order (``_epoch_chunks``)."""
+    for chunk in _epoch_chunks(samples, batch_size, seed, epoch):
         yield load_batch_inputs(chunk)

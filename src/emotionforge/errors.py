@@ -45,6 +45,10 @@ class EmptyCropError(EmotionForgeError):
     """Crop rectangle clamped to the image has zero area."""
 
 
+class MalformedLandmarksError(EmotionForgeError, ValueError):
+    """A .lm68 sidecar is not 68 lines of two finite decimal floats."""
+
+
 # --- augmentation ---
 
 class InvalidSpecError(EmotionForgeError):

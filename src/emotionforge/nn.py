@@ -54,6 +54,16 @@ class LayerSpec:
     def parametric(self) -> bool:
         return self.kind in (CONV, FC)
 
+    @property
+    def weight_shape(self) -> tuple[int, ...] | None:
+        """``(out_ch, in_ch, kh, kw)`` or ``(out_dim, in_dim)``; the bias is
+        ``weight_shape[:1]``. None for a layer without parameters."""
+        if self.kind == CONV:
+            return (self.out_ch, self.in_ch, self.kh, self.kw)
+        if self.kind == FC:
+            return (self.out_dim, self.in_dim)
+        return None
+
 
 @dataclass
 class ModelParams:
@@ -110,22 +120,13 @@ def emo_net_layers(input_hw: int = 128) -> list[LayerSpec]:
 def init_params(seed: int, input_hw: int = 128, mode: str = "classification") -> ModelParams:
     """He-normal weights (std sqrt(2/fan_in)), zero biases, deterministic."""
     rng = Prng.derive(seed, 0)
+    layers = emo_net_layers(input_hw)
     weights, biases = [], []
-    for spec in emo_net_layers(input_hw):
-        if spec.kind == CONV:
-            fan_in = spec.in_ch * spec.kh * spec.kw
-            shape = (spec.out_ch, spec.in_ch, spec.kh, spec.kw)
-            nbias = spec.out_ch
-        elif spec.kind == FC:
-            fan_in = spec.in_dim
-            shape = (spec.out_dim, spec.in_dim)
-            nbias = spec.out_dim
-        else:
-            continue
-        std = np.sqrt(2.0 / fan_in)
+    for shape in (spec.weight_shape for spec in layers if spec.parametric):
+        std = np.sqrt(2.0 / np.prod(shape[1:]))
         weights.append((rng.normal(int(np.prod(shape))) * std).reshape(shape).astype(np.float32))
-        biases.append(np.zeros(nbias, dtype=np.float32))
-    return ModelParams(layers=emo_net_layers(input_hw), weights=weights, biases=biases, mode=mode)
+        biases.append(np.zeros(shape[0], dtype=np.float32))
+    return ModelParams(layers=layers, weights=weights, biases=biases, mode=mode)
 
 
 # --- layer primitives ----------------------------------------------------------
@@ -192,18 +193,24 @@ def relu_backward(x: np.ndarray, upstream: np.ndarray) -> np.ndarray:
     return upstream * (x > 0)  # subgradient 0 at 0
 
 
+def _pool_windows(x: np.ndarray) -> np.ndarray:
+    """(N, C, H/2, W/2, 4): each 2x2 window's values, scanned row-major."""
+    n, c, h, w = x.shape
+    return (x.reshape(n, c, h // 2, 2, w // 2, 2)
+             .transpose(0, 1, 2, 4, 3, 5)
+             .reshape(n, c, h // 2, w // 2, 4))
+
+
 def maxpool_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """2x2 stride-2 max pooling; returns (output, argmax per window).
 
     Window values are scanned row-major, so argmax's first-match rule pins
     ties to the earliest position.
     """
-    n, c, h, w = x.shape
+    _, _, h, w = x.shape
     if h % 2 or w % 2:
         raise ShapeMismatchError(f"maxpool needs even spatial dims, got {h}x{w}")
-    win = (x.reshape(n, c, h // 2, 2, w // 2, 2)
-            .transpose(0, 1, 2, 4, 3, 5)
-            .reshape(n, c, h // 2, w // 2, 4))
+    win = _pool_windows(x)
     idx = win.argmax(axis=-1)
     out = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
     return out, idx
@@ -240,6 +247,51 @@ def dropout_backward(mask: np.ndarray, p: float, upstream: np.ndarray) -> np.nda
 
 # --- whole-network passes --------------------------------------------------------
 
+def _layer_params(params: ModelParams) -> list[tuple]:
+    """Each layer with its (weight, bias); (None, None) for a layer without."""
+    pairs = iter(zip(params.weights, params.biases))
+    return [(spec, *(next(pairs) if spec.parametric else (None, None)))
+            for spec in params.layers]
+
+
+def _forward_walk(params: ModelParams, x: np.ndarray, rng: Prng | None = None,
+                  frozen: list | None = None) -> tuple[np.ndarray, list]:
+    """The one walk through the stack; returns (output, caches).
+
+    Dropout fires when ``rng`` is given. With ``frozen`` (the caches of an
+    earlier train-mode pass), ReLU masks and maxpool argmax are taken from it
+    instead of from ``x``.
+    """
+    caches = []
+    for i, (spec, w, b) in enumerate(_layer_params(params)):
+        routing = None if frozen is None else frozen[i][1]
+        cache = x  # conv, relu and fc keep their input for backward
+        if spec.kind == CONV:
+            x = conv2d_forward(x, w, b, spec.stride, spec.pad)
+        elif spec.kind == RELU:
+            x = relu_forward(x) if routing is None else x * (routing > 0)
+        elif spec.kind == MAXPOOL:
+            if routing is None:
+                x, idx = maxpool_forward(x)
+            else:
+                idx = routing[1]
+                x = np.take_along_axis(_pool_windows(x), idx[..., None], axis=-1)[..., 0]
+            cache = (cache.shape, idx)
+        elif spec.kind == FLATTEN:
+            cache = x.shape
+            x = x.reshape(x.shape[0], -1)
+        elif spec.kind == FC:
+            x = fc_forward(x, w, b)
+        elif spec.kind == DROPOUT:
+            cache = None
+            if rng is not None:
+                x, cache = dropout_forward(x, DROPOUT_P, rng)
+        else:
+            raise ValueError(f"unknown layer kind {spec.kind!r}")
+        caches.append((spec, cache))
+    return x, caches
+
+
 def forward(params: ModelParams, x: np.ndarray, mode: str = "infer",
             rng: Prng | None = None):
     """Run the stack. ``mode='train'`` returns (logits, caches) for backward;
@@ -254,37 +306,7 @@ def forward(params: ModelParams, x: np.ndarray, mode: str = "infer",
     if x.ndim != 4 or x.shape[1] != first.in_ch:
         raise ShapeMismatchError(f"input shape {x.shape} does not fit first conv "
                                  f"(need (N, {first.in_ch}, H, W))")
-    caches = []
-    pi = 0  # parametric layer cursor
-    for spec in params.layers:
-        if spec.kind == CONV:
-            w, b = params.weights[pi], params.biases[pi]
-            caches.append((spec, x))
-            x = conv2d_forward(x, w, b, spec.stride, spec.pad)
-            pi += 1
-        elif spec.kind == RELU:
-            caches.append((spec, x))
-            x = relu_forward(x)
-        elif spec.kind == MAXPOOL:
-            x_shape = x.shape
-            x, idx = maxpool_forward(x)
-            caches.append((spec, (x_shape, idx)))
-        elif spec.kind == FLATTEN:
-            caches.append((spec, x.shape))
-            x = x.reshape(x.shape[0], -1)
-        elif spec.kind == FC:
-            w, b = params.weights[pi], params.biases[pi]
-            caches.append((spec, x))
-            x = fc_forward(x, w, b)
-            pi += 1
-        elif spec.kind == DROPOUT:
-            if mode == "train" and rng is not None:
-                x, mask = dropout_forward(x, DROPOUT_P, rng)
-                caches.append((spec, mask))
-            else:
-                caches.append((spec, None))
-        else:
-            raise ValueError(f"unknown layer kind {spec.kind!r}")
+    x, caches = _forward_walk(params, x, rng if mode == "train" else None)
     if not np.isfinite(x).all():
         raise NonFiniteActivationError("non-finite logits")
     if mode == "train":
@@ -301,29 +323,7 @@ def forward_frozen(params: ModelParams, x: np.ndarray, caches: list) -> np.ndarr
     finite-difference oracle must probe for the comparison to be meaningful
     at step sizes that would otherwise cross ReLU kinks.
     """
-    pi = 0
-    for spec, cache in caches:
-        if spec.kind == CONV:
-            x = conv2d_forward(x, params.weights[pi], params.biases[pi],
-                               spec.stride, spec.pad)
-            pi += 1
-        elif spec.kind == RELU:
-            x = x * (cache > 0)
-        elif spec.kind == MAXPOOL:
-            n, c, h, w = x.shape
-            win = (x.reshape(n, c, h // 2, 2, w // 2, 2)
-                    .transpose(0, 1, 2, 4, 3, 5)
-                    .reshape(n, c, h // 2, w // 2, 4))
-            idx = cache[1]
-            x = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
-        elif spec.kind == FLATTEN:
-            x = x.reshape(x.shape[0], -1)
-        elif spec.kind == FC:
-            x = fc_forward(x, params.weights[pi], params.biases[pi])
-            pi += 1
-        elif spec.kind == DROPOUT:
-            pass
-    return x
+    return _forward_walk(params, x, frozen=caches)[0]
 
 
 def backward(params: ModelParams, caches: list, dlogits: np.ndarray):
@@ -336,18 +336,14 @@ def backward(params: ModelParams, caches: list, dlogits: np.ndarray):
     last_fc = params.layers[-1]
     if dlogits.ndim != 2 or dlogits.shape[1] != last_fc.out_dim:
         raise StaleCacheError(f"dlogits shape {dlogits.shape} does not match head")
-    dweights = [None] * len(params.weights)
-    dbiases = [None] * len(params.biases)
-    pi = len(params.weights)
+    grads = []  # (dw, db) per parametric layer, last layer first
     dx = dlogits
-    for spec, cache in reversed(caches):
+    for (spec, w, _), (_, cache) in zip(reversed(_layer_params(params)), reversed(caches)):
+        if spec.parametric and cache.shape[0] != dx.shape[0]:
+            raise StaleCacheError("batch size changed between forward and backward")
         if spec.kind == CONV:
-            pi -= 1
-            x = cache
-            if x.shape[0] != dx.shape[0]:
-                raise StaleCacheError("batch size changed between forward and backward")
-            dx, dw, db = conv2d_backward(x, params.weights[pi], dx, spec.stride, spec.pad)
-            dweights[pi], dbiases[pi] = dw, db
+            dx, dw, db = conv2d_backward(cache, w, dx, spec.stride, spec.pad)
+            grads.append((dw, db))
         elif spec.kind == RELU:
             dx = relu_backward(cache, dx)
         elif spec.kind == MAXPOOL:
@@ -356,13 +352,10 @@ def backward(params: ModelParams, caches: list, dlogits: np.ndarray):
         elif spec.kind == FLATTEN:
             dx = dx.reshape(cache)
         elif spec.kind == FC:
-            pi -= 1
-            x = cache
-            if x.shape[0] != dx.shape[0]:
-                raise StaleCacheError("batch size changed between forward and backward")
-            dx, dw, db = fc_backward(x, params.weights[pi], dx)
-            dweights[pi], dbiases[pi] = dw, db
+            dx, dw, db = fc_backward(cache, w, dx)
+            grads.append((dw, db))
         elif spec.kind == DROPOUT:
             if cache is not None:
                 dx = dropout_backward(cache, DROPOUT_P, dx)
-    return dweights, dbiases
+    grads.reverse()
+    return [dw for dw, _ in grads], [db for _, db in grads]

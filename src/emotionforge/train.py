@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import loss as losses
-from .dataset import Batch, Sample, load_batch_inputs
+from .dataset import Batch, Sample, _epoch_chunks, load_batch_inputs
 from .errors import (
     BadMagicError,
     ChecksumMismatchError,
@@ -110,6 +110,22 @@ def _batch_loss(params: ModelParams, batch: Batch, mode: str, logits: np.ndarray
     return losses.sigmoid_ce(logits, batch.intensity_targets)
 
 
+def _predict_batches(params: ModelParams, samples: list[Sample], mode: str,
+                     batch_size: int = 64):
+    """(batch, logits, class labels) per batch of ``samples``, in manifest order.
+
+    A label is the class target, or in regression mode the argmax of the
+    intensity target. Each sample is decoded once.
+    """
+    if not samples:
+        raise EmptyDatasetError("empty evaluation set")
+    for start in range(0, len(samples), batch_size):
+        batch = load_batch_inputs(samples[start : start + batch_size])
+        logits = forward(params, batch.inputs, mode="infer")
+        yield batch, logits, (batch.class_targets if mode == "classification"
+                              else batch.intensity_targets.argmax(axis=1))
+
+
 def evaluate_dataset(params: ModelParams, samples: list[Sample], mode: str,
                      batch_size: int = 64) -> ValRecord:
     """Mean loss and accuracy over a sample list, in manifest order.
@@ -119,18 +135,11 @@ def evaluate_dataset(params: ModelParams, samples: list[Sample], mode: str,
     """
     total_loss = 0.0
     correct = 0
-    n_total = 0
-    for start in range(0, len(samples), batch_size):
-        batch = load_batch_inputs(samples[start : start + batch_size])
-        logits = forward(params, batch.inputs, mode="infer")
-        n = logits.shape[0]
-        total_loss += _batch_loss(params, batch, mode, logits).value * n
-        if mode == "classification":
-            correct += int((logits.argmax(axis=1) == batch.class_targets).sum())
-        else:
-            correct += int((logits.argmax(axis=1) == batch.intensity_targets.argmax(axis=1)).sum())
-        n_total += n
-    return ValRecord(iteration=0, loss=total_loss / n_total, accuracy=correct / n_total)
+    for batch, logits, labels in _predict_batches(params, samples, mode, batch_size):
+        total_loss += _batch_loss(params, batch, mode, logits).value * logits.shape[0]
+        correct += int((logits.argmax(axis=1) == labels).sum())
+    return ValRecord(iteration=0, loss=total_loss / len(samples),
+                     accuracy=correct / len(samples))
 
 
 def train_loop(config: TrainConfig, train_set: list[Sample], val_set: list[Sample],
@@ -160,18 +169,13 @@ def train_loop(config: TrainConfig, train_set: list[Sample], val_set: list[Sampl
         history = TrainHistory()
         start = 0
 
-    n = len(train_set)
-    bpe = math.ceil(n / config.batch_size)
-    order = None
-    order_epoch = -1
-
+    bpe = math.ceil(len(train_set) / config.batch_size)
     for it in range(start, config.max_iterations):
         epoch, slot = divmod(it, bpe)
-        if epoch != order_epoch:
-            order = Prng.derive(config.seed, 1, epoch).permutation(n)
-            order_epoch = epoch
-        idx = order[slot * config.batch_size : (slot + 1) * config.batch_size]
-        batch = load_batch_inputs([train_set[i] for i in idx])
+        # one permutation per epoch; a resume may start mid-epoch
+        if slot == 0 or it == start:
+            chunks = _epoch_chunks(train_set, config.batch_size, config.seed, epoch)
+        batch = load_batch_inputs(chunks[slot])
 
         try:
             logits, caches = forward(params, batch.inputs, mode="train",
@@ -269,27 +273,18 @@ def load_model(path) -> ModelParams:
     except (struct.error, IndexError):
         raise ModelIoError(f"{path}: truncated layer table") from None
 
-    weights, biases = [], []
-    shapes = []
-    for spec in layers:
-        if spec.kind == CONV:
-            shapes.append(((spec.out_ch, spec.in_ch, spec.kh, spec.kw), (spec.out_ch,)))
-        elif spec.kind == FC:
-            shapes.append(((spec.out_dim, spec.in_dim), (spec.out_dim,)))
-    for wshape, _ in shapes:
-        nbytes = int(np.prod(wshape)) * 4
-        if off + nbytes > len(payload):
-            raise ModelIoError(f"{path}: truncated weight data")
-        weights.append(np.frombuffer(payload, dtype="<f4", count=int(np.prod(wshape)),
-                                     offset=off).reshape(wshape).astype(np.float32))
-        off += nbytes
-    for _, bshape in shapes:
-        nbytes = bshape[0] * 4
-        if off + nbytes > len(payload):
-            raise ModelIoError(f"{path}: truncated bias data")
-        biases.append(np.frombuffer(payload, dtype="<f4", count=bshape[0],
-                                    offset=off).astype(np.float32))
-        off += nbytes
+    def tensor(shape, what):
+        nonlocal off
+        count = int(np.prod(shape))
+        if off + 4 * count > len(payload):
+            raise ModelIoError(f"{path}: truncated {what} data")
+        out = np.frombuffer(payload, dtype="<f4", count=count, offset=off)
+        off += 4 * count
+        return out.reshape(shape).astype(np.float32)
+
+    shapes = [spec.weight_shape for spec in layers if spec.parametric]
+    weights = [tensor(shape, "weight") for shape in shapes]
+    biases = [tensor(shape[:1], "bias") for shape in shapes]
     if off != len(payload):
         raise ModelIoError(f"{path}: {len(payload) - off} unexpected trailing bytes")
     return ModelParams(layers=layers, weights=weights, biases=biases,

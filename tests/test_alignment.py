@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from emotionforge import alignment, imaging
-from emotionforge.errors import CoincidentEyesError, DegenerateFaceError, EmptyCropError
+from emotionforge.errors import (
+    CoincidentEyesError,
+    DegenerateFaceError,
+    EmptyCropError,
+    MalformedLandmarksError,
+)
 from helpers import synthetic_face
 
 
@@ -181,3 +186,20 @@ class TestSidecars:
         assert alignment.sidecar_path("/data/img01.pgm") == "/data/img01.lm68"
         assert alignment.sidecar_path("clip.tar.pgm") == "clip.tar.lm68"
         assert alignment.sidecar_path("/a.b/noext") == "/a.b/noext.lm68"
+
+
+class TestMalformedSidecars:
+    GOOD = b"1.0 2.0\n"
+
+    @pytest.mark.parametrize("content", [
+        b"1.0 2.0 3.0\n" + GOOD * 67,
+        b"1.0 abc\n" + GOOD * 67,
+        b"1.0 \xff\xfe\n" + GOOD * 67,
+        GOOD * 67,
+        b"1.0 inf\n" + GOOD * 67,
+    ], ids=["three_tokens", "non_float", "non_utf8", "67_lines", "non_finite"])
+    def test_typed_error(self, tmp_path, content):
+        path = tmp_path / "bad.lm68"
+        path.write_bytes(content)
+        with pytest.raises(MalformedLandmarksError):
+            alignment.read_landmarks(path)

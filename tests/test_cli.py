@@ -1,10 +1,12 @@
 import io
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from emotionforge import alignment, imaging, train
+from emotionforge import alignment, cli, dataset, imaging, train
 from emotionforge.cli import main
 from helpers import make_toy_corpus, separator_model, synthetic_face, toy_pattern
 from emotionforge.rng import Prng
@@ -206,3 +208,48 @@ class TestExitCodes:
     def test_missing_input_is_data_error(self, tmp_path):
         assert main(["eval", str(tmp_path / "nope.csv"),
                      "--model", str(tmp_path / "nope.emo")]) == 2
+
+
+class TestEvalLoop:
+    def test_comment_only_manifest_is_data_error(self, tmp_path):
+        manifest = tmp_path / "empty.csv"
+        manifest.write_text("# no samples\n")
+        model_path = tmp_path / "sep.emo"
+        train.save_model(separator_model(), model_path)
+        assert main(["eval", str(manifest), "--model", str(model_path)]) == 2
+
+    @pytest.mark.parametrize("mode", ["classification", "regression"])
+    def test_each_sample_decoded_once(self, tmp_path, monkeypatch, mode):
+        man, _ = make_toy_corpus(tmp_path, n=10, n_train=10, seed=11, mode=mode)
+        model_path = tmp_path / "sep.emo"
+        train.save_model(separator_model(mode=mode), model_path)
+        decoded = []
+        real = imaging.load_pgm
+
+        def counting(path):
+            decoded.append(path)
+            return real(path)
+
+        for module in (imaging, dataset, cli):
+            monkeypatch.setattr(module, "load_pgm", counting)
+        assert main(["eval", man, "--model", str(model_path), "--mode", mode]) == 0
+        assert len(decoded) == 10
+
+
+class TestThreadCount:
+    def test_model_bytes_do_not_depend_on_thread_cap(self, tmp_path):
+        # the real 128x128 net: small GEMMs may never reach BLAS threading
+        man, vman = make_toy_corpus(tmp_path, n=16, n_train=12, seed=4)
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        models = []
+        for threads in ("1", "2"):
+            env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+            env["EMOTION_FORGE_THREADS"] = threads
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            out = tmp_path / f"threads{threads}.emo"
+            subprocess.run([sys.executable, "-m", "emotionforge.cli", "train", man,
+                            "--val-manifest", vman, "--out", str(out), "--iterations", "2",
+                            "--batch-size", "4", "--checkpoint-every", "2", "--seed", "3"],
+                           env=env, check=True, capture_output=True, timeout=300)
+            models.append(out.read_bytes())
+        assert models[0] == models[1]

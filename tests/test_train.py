@@ -215,3 +215,55 @@ class TestGradientCheck:
         assert train._relative_error(0.0, 0.0) == 0.0
         assert train._relative_error(0.0, 4e-9) == pytest.approx(4e-9)
         assert train._relative_error(1.0, 2.0) == pytest.approx(1 / 3)
+
+
+class TestEvaluateDataset:
+    def test_empty_set_is_typed_error(self):
+        p = nn.init_params(seed=0, input_hw=16)
+        with pytest.raises(EmptyDatasetError):
+            train.evaluate_dataset(p, [], "classification")
+
+
+class TestBatchOrder:
+    """train_loop consumes its batches in dataset.batches order."""
+
+    @pytest.fixture
+    def decoded(self, monkeypatch):
+        seen = []
+        real = dataset.load_batch_inputs
+
+        def record(samples, *args, **kwargs):
+            seen.append([s.image_path for s in samples])
+            return real(samples, *args, **kwargs)
+
+        monkeypatch.setattr(dataset, "load_batch_inputs", record)
+        monkeypatch.setattr(train, "load_batch_inputs", record)
+        return seen
+
+    def test_matches_dataset_batches_and_resume(self, tmp_path, decoded):
+        man, vman = make_toy_corpus(tmp_path, n=12, n_train=10, seed=6)
+        tr = dataset.load_manifest(man, "classification")
+        va = dataset.load_manifest(vman, "classification")
+        val_paths = {s.image_path for s in va}
+        for epoch in (0, 1):
+            list(dataset.batches(tr, 4, seed=5, epoch=epoch))
+        expected = list(decoded)
+        assert [len(chunk) for chunk in expected] == [4, 4, 2, 4, 4, 2]
+
+        def train_batches():
+            out = [chunk for chunk in decoded if not val_paths.intersection(chunk)]
+            decoded.clear()
+            return out
+
+        def cfg(iters):
+            return train.TrainConfig(max_iterations=iters, batch_size=4,
+                                     checkpoint_every=100, seed=5)
+
+        p0 = nn.init_params(seed=5)
+        decoded.clear()
+        train.train_loop(cfg(6), tr, va, params=p0.copy())
+        assert train_batches() == expected
+        half, _ = train.train_loop(cfg(4), tr, va, params=p0.copy())
+        assert train_batches() == expected[:4]
+        train.train_loop(cfg(6), tr, va, resume_from=half)
+        assert train_batches() == expected[4:]
