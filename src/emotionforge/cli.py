@@ -136,9 +136,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     params = train.load_model(args.model)
-    mode = args.mode or params.mode
-    if mode != params.mode:
-        raise EmotionForgeError(f"model head is {params.mode!r}, requested {mode!r}")
+    mode = params.resolve_mode(args.mode)
     samples = dataset.load_manifest(args.manifest, mode)
 
     logits, labels, targets, timed = [], [], [], []
@@ -276,7 +274,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (EmotionForgeError, OSError, ValueError) as exc:
-        _log(f"error: {exc}")
+        _log(f"error: {type(exc).__name__}: {exc}")
         return EXIT_DATA
     except Exception as exc:  # pragma: no cover - defensive
         _log(f"internal error: {type(exc).__name__}: {exc}")

@@ -36,9 +36,10 @@ def softmax_ce(logits: np.ndarray, targets: np.ndarray) -> LossValue:
         raise IndexOutOfRangeError(f"class index outside 0..{NUM_CLASSES - 1}")
     n = logits.shape[0]
     z = logits - logits.max(axis=1, keepdims=True)
-    logsumexp = np.log(np.exp(z).sum(axis=1))
-    value = float(np.mean(logsumexp - z[np.arange(n), targets]))
-    dlogits = softmax(logits)
+    e = np.exp(z)
+    total = e.sum(axis=1, keepdims=True)
+    value = float(np.mean(np.log(total[:, 0]) - z[np.arange(n), targets]))
+    dlogits = e / total  # softmax(logits), from the same exponentials
     dlogits[np.arange(n), targets] -= 1
     return LossValue(value, dlogits / n)
 

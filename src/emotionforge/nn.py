@@ -26,6 +26,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .errors import (
+    ModelModeMismatchError,
     NonFiniteActivationError,
     ShapeMismatchError,
     StaleCacheError,
@@ -83,6 +84,14 @@ class ModelParams:
                            weights=[w.astype(dtype) for w in self.weights],
                            biases=[b.astype(dtype) for b in self.biases],
                            mode=self.mode)
+
+    def resolve_mode(self, requested: str | None) -> str:
+        """The head mode to run: the model's own, which ``requested`` (when
+        given) must name."""
+        if requested is not None and requested != self.mode:
+            raise ModelModeMismatchError(
+                f"model head is {self.mode!r}, requested {requested!r}")
+        return self.mode
 
     @property
     def param_count(self) -> int:
@@ -159,19 +168,31 @@ def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray,
 
 
 def conv2d_backward(x: np.ndarray, w: np.ndarray, upstream: np.ndarray,
-                    stride: int, pad: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients (dx, dw, db) of conv2d_forward."""
+                    stride: int, pad: int,
+                    input_grad: bool = True) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gradients (dx, dw, db) of conv2d_forward.
+
+    Without ``input_grad`` dx is not computed and comes back empty. The
+    patches are copied once, as a (C*kh*kw, N*ho*wo) matrix, so ``dw`` is one
+    GEMM over the whole batch: the product ``np.tensordot`` would form, less
+    its second copy of the patches.
+    """
     n, c, h, wd = x.shape
     k, _, kh, kw = w.shape
     _, ku, ho, wo = upstream.shape
     if ku != k or upstream.shape[0] != n:
         raise ShapeMismatchError("upstream shape does not match forward output")
     xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
-    cols = _im2col(xp, kh, kw, stride, ho, wo)
-    up = upstream.reshape(n, k, ho * wo)
-
-    dw = np.tensordot(up, cols, axes=([0, 2], [0, 2])).reshape(w.shape)
+    sn, sc, sh, sw = xp.strides
+    cols = as_strided(xp, shape=(c, kh, kw, n, ho, wo),
+                      strides=(sc, sh, sw, sn, stride * sh, stride * sw))
+    cols = cols.reshape(c * kh * kw, n * ho * wo)
+    dw = (upstream.transpose(1, 0, 2, 3).reshape(k, n * ho * wo) @ cols.T).reshape(w.shape)
     db = upstream.sum(axis=(0, 2, 3))
+    if not input_grad:
+        return np.empty(0, dtype=x.dtype), dw, db
+    del cols  # free the patch copy before dcols takes as much again
+    up = upstream.reshape(n, k, ho * wo)
     dcols = np.matmul(w.reshape(k, -1).T, up)      # (N, C*kh*kw, ho*wo)
     dcols = dcols.reshape(n, c, kh, kw, ho, wo)
 
@@ -193,36 +214,48 @@ def relu_backward(x: np.ndarray, upstream: np.ndarray) -> np.ndarray:
     return upstream * (x > 0)  # subgradient 0 at 0
 
 
-def _pool_windows(x: np.ndarray) -> np.ndarray:
-    """(N, C, H/2, W/2, 4): each 2x2 window's values, scanned row-major."""
-    n, c, h, w = x.shape
-    return (x.reshape(n, c, h // 2, 2, w // 2, 2)
-             .transpose(0, 1, 2, 4, 3, 5)
-             .reshape(n, c, h // 2, w // 2, 4))
+def _pool_views(x: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The four positions of every 2x2 window, row-major, as strided views."""
+    return x[:, :, 0::2, 0::2], x[:, :, 0::2, 1::2], x[:, :, 1::2, 0::2], x[:, :, 1::2, 1::2]
 
 
 def maxpool_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """2x2 stride-2 max pooling; returns (output, argmax per window).
+    """2x2 stride-2 max pooling; returns (output, int8 argmax per window).
 
-    Window values are scanned row-major, so argmax's first-match rule pins
-    ties to the earliest position.
+    The windows are read as four strided views of ``x``; nothing is copied
+    into a window layout. Positions are numbered row-major (0 1 / 2 3) and
+    the argmax is built from strict ``>`` compares, so a tie goes to the
+    earliest position, as ``np.argmax`` would pick it. The output is an
+    ``np.maximum`` tree, which carries a NaN at any position through to the
+    logits.
     """
     _, _, h, w = x.shape
     if h % 2 or w % 2:
         raise ShapeMismatchError(f"maxpool needs even spatial dims, got {h}x{w}")
-    win = _pool_windows(x)
-    idx = win.argmax(axis=-1)
-    out = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
-    return out, idx
+    a, b, c, d = _pool_views(x)
+    # np.maximum keeps its second operand on a tie, so the earlier position
+    # goes second: the output is then the argmax element, down to a zero's sign
+    top, bottom = np.maximum(b, a), np.maximum(d, c)
+    idx = np.where(bottom > top, (d > c).view(np.int8) + np.int8(2), (b > a).view(np.int8))
+    return np.maximum(bottom, top), idx
 
 
 def maxpool_backward(x_shape: tuple, idx: np.ndarray, upstream: np.ndarray) -> np.ndarray:
-    n, c, h, w = x_shape
-    dwin = np.zeros((n, c, h // 2, w // 2, 4), dtype=upstream.dtype)
-    np.put_along_axis(dwin, idx[..., None], upstream[..., None], axis=-1)
-    return (dwin.reshape(n, c, h // 2, w // 2, 2, 2)
-                .transpose(0, 1, 2, 4, 3, 5)
-                .reshape(n, c, h, w))
+    """Route each window's gradient to its argmax position, +0 elsewhere.
+
+    Each of the four strided views of ``dx`` gets the bits of
+    ``np.where(idx == k, upstream, 0)``, written as ``upstream``'s bits ANDed
+    with an all-ones or all-zeros mask: one pass per view and no temporary
+    the size of ``upstream``.
+    """
+    dx = np.empty(x_shape, dtype=upstream.dtype)
+    as_int = np.dtype(f"i{upstream.itemsize}")
+    bits = upstream.view(as_int)
+    for k, view in enumerate(_pool_views(dx.view(as_int))):
+        mask = (idx == k).view(np.int8)
+        np.negative(mask, out=mask)  # 1 -> -1, all bits set
+        np.bitwise_and(bits, mask, out=view)
+    return dx
 
 
 def fc_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -248,21 +281,35 @@ def dropout_backward(mask: np.ndarray, p: float, upstream: np.ndarray) -> np.nda
 # --- whole-network passes --------------------------------------------------------
 
 def _layer_params(params: ModelParams) -> list[tuple]:
-    """Each layer with its (weight, bias); (None, None) for a layer without."""
+    """Each layer with its (weight, bias), in the order the walks run them.
+
+    A layer without parameters gets (None, None). Every relu directly
+    followed by a maxpool runs after it instead: relu and max commute, and
+    the first-match argmax picks the same element whenever the window's max
+    is > 0 (when it is not, relu zeroes the gradient either way), so values
+    and gradients are unchanged while relu works on a quarter of the data.
+    """
     pairs = iter(zip(params.weights, params.biases))
-    return [(spec, *(next(pairs) if spec.parametric else (None, None)))
-            for spec in params.layers]
+    run = [(spec, *(next(pairs) if spec.parametric else (None, None)))
+           for spec in params.layers]
+    for i in range(len(run) - 1):
+        if run[i][0].kind == RELU and run[i + 1][0].kind == MAXPOOL:
+            run[i], run[i + 1] = run[i + 1], run[i]
+    return run
 
 
 def _forward_walk(params: ModelParams, x: np.ndarray, rng: Prng | None = None,
-                  frozen: list | None = None) -> tuple[np.ndarray, list]:
+                  frozen: list | None = None,
+                  keep: bool = True) -> tuple[np.ndarray, list | None]:
     """The one walk through the stack; returns (output, caches).
 
     Dropout fires when ``rng`` is given. With ``frozen`` (the caches of an
     earlier train-mode pass), ReLU masks and maxpool argmax are taken from it
-    instead of from ``x``.
+    instead of from ``x``. Without ``keep`` no cache is built, so each
+    activation is freed as soon as the next layer has read it, and caches is
+    None.
     """
-    caches = []
+    caches = [] if keep else None
     for i, (spec, w, b) in enumerate(_layer_params(params)):
         routing = None if frozen is None else frozen[i][1]
         cache = x  # conv, relu and fc keep their input for backward
@@ -275,7 +322,7 @@ def _forward_walk(params: ModelParams, x: np.ndarray, rng: Prng | None = None,
                 x, idx = maxpool_forward(x)
             else:
                 idx = routing[1]
-                x = np.take_along_axis(_pool_windows(x), idx[..., None], axis=-1)[..., 0]
+                x = np.choose(idx, _pool_views(x))
             cache = (cache.shape, idx)
         elif spec.kind == FLATTEN:
             cache = x.shape
@@ -288,14 +335,15 @@ def _forward_walk(params: ModelParams, x: np.ndarray, rng: Prng | None = None,
                 x, cache = dropout_forward(x, DROPOUT_P, rng)
         else:
             raise ValueError(f"unknown layer kind {spec.kind!r}")
-        caches.append((spec, cache))
+        if keep:
+            caches.append((spec, cache))
     return x, caches
 
 
 def forward(params: ModelParams, x: np.ndarray, mode: str = "infer",
             rng: Prng | None = None):
     """Run the stack. ``mode='train'`` returns (logits, caches) for backward;
-    ``mode='infer'`` returns logits and skips dropout.
+    ``mode='infer'`` returns logits, skips dropout and keeps no caches.
 
     Dropout fires only in train mode *and* when an rng is supplied; gradient
     checking passes ``rng=None`` to keep the path deterministic.
@@ -306,10 +354,11 @@ def forward(params: ModelParams, x: np.ndarray, mode: str = "infer",
     if x.ndim != 4 or x.shape[1] != first.in_ch:
         raise ShapeMismatchError(f"input shape {x.shape} does not fit first conv "
                                  f"(need (N, {first.in_ch}, H, W))")
-    x, caches = _forward_walk(params, x, rng if mode == "train" else None)
+    train = mode == "train"
+    x, caches = _forward_walk(params, x, rng if train else None, keep=train)
     if not np.isfinite(x).all():
         raise NonFiniteActivationError("non-finite logits")
-    if mode == "train":
+    if train:
         return x, caches
     return x
 
@@ -338,11 +387,13 @@ def backward(params: ModelParams, caches: list, dlogits: np.ndarray):
         raise StaleCacheError(f"dlogits shape {dlogits.shape} does not match head")
     grads = []  # (dw, db) per parametric layer, last layer first
     dx = dlogits
-    for (spec, w, _), (_, cache) in zip(reversed(_layer_params(params)), reversed(caches)):
+    walk = reversed(list(enumerate(zip(_layer_params(params), caches))))
+    for i, ((spec, w, _), (_, cache)) in walk:
         if spec.parametric and cache.shape[0] != dx.shape[0]:
             raise StaleCacheError("batch size changed between forward and backward")
         if spec.kind == CONV:
-            dx, dw, db = conv2d_backward(cache, w, dx, spec.stride, spec.pad)
+            # nothing reads the input gradient of the first layer
+            dx, dw, db = conv2d_backward(cache, w, dx, spec.stride, spec.pad, input_grad=i > 0)
             grads.append((dw, db))
         elif spec.kind == RELU:
             dx = relu_backward(cache, dx)

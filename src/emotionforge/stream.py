@@ -24,7 +24,7 @@ import numpy as np
 
 from .alignment import align_face
 from .dataset import EmotionClass
-from .errors import BadAlphaError, EmotionForgeError, ModelModeMismatchError
+from .errors import BadAlphaError, EmotionForgeError
 from .evaluate import regression_to_class
 from .loss import sigmoid, softmax
 from .nn import ModelParams, forward
@@ -64,11 +64,7 @@ def run_stream(params: ModelParams, frame_source, alpha: float = 0.3,
     """
     if not 0.0 < alpha <= 1.0:
         raise BadAlphaError(f"alpha {alpha} outside (0, 1]")
-    if mode is None:
-        mode = params.mode
-    if mode != params.mode:
-        raise ModelModeMismatchError(f"model head is {params.mode!r}, requested {mode!r}")
-    return _stream_records(params, frame_source, alpha, mode)
+    return _stream_records(params, frame_source, alpha, params.resolve_mode(mode))
 
 
 def _stream_records(params, frame_source, alpha, mode):

@@ -139,6 +139,7 @@ class TestEval:
         model_path = tmp_path / "sep.emo"
         train.save_model(separator_model(), model_path)
         assert main(["eval", man, "--model", str(model_path), "--mode", "regression"]) == 2
+        assert "ModelModeMismatchError" in capsys.readouterr().err
 
 
 class TestInferAndStream:

@@ -80,6 +80,23 @@ class TestSoftmaxCe:
         with pytest.raises(IndexOutOfRangeError):
             loss.softmax_ce(np.zeros((1, 7)), np.array([7]))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bit_identical_to_softmax_formula(self, dtype):
+        # the formula from before the exponentials were shared: log-sum-exp
+        # from one exp(z), the gradient from softmax(logits)
+        logits = (Prng(3).normal(64 * 7).reshape(64, 7) * 4).astype(dtype)
+        t = np.array([i % 7 for i in range(64)])
+        n = logits.shape[0]
+        z = logits - logits.max(axis=1, keepdims=True)
+        value = float(np.mean(np.log(np.exp(z).sum(axis=1)) - z[np.arange(n), t]))
+        dlogits = loss.softmax(logits)
+        dlogits[np.arange(n), t] -= 1
+        dlogits = dlogits / n
+        lv = loss.softmax_ce(logits, t)
+        assert lv.value == value
+        assert lv.dlogits.dtype == dlogits.dtype
+        assert lv.dlogits.tobytes() == dlogits.tobytes()
+
 
 class TestSigmoidCe:
     def test_symmetric_point(self):

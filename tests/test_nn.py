@@ -284,6 +284,30 @@ class TestForwardBackward:
         logits, caches = nn.forward(p, x, mode="train")
         assert np.allclose(nn.forward_frozen(p, x, caches), logits)
 
+    def test_infer_keeps_no_activations(self, monkeypatch):
+        import tracemalloc
+
+        p = nn.init_params(seed=3, input_hw=32)
+        x = rnd((16, 1, 32, 32), 28, dtype=np.float32)
+        held = []  # bytes allocated while the last fc runs
+        fc = nn.fc_forward
+
+        def probe(a, w, b):
+            held.append(tracemalloc.get_traced_memory()[0])
+            return fc(a, w, b)
+
+        monkeypatch.setattr(nn, "fc_forward", probe)
+        tracemalloc.start()
+        try:
+            train_logits = nn.forward(p, x, mode="train")[0]
+            train_held = held[-1]
+            logits = nn.forward(p, x, mode="infer")
+            infer_held = held[-1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(logits, train_logits)
+        assert infer_held < 0.25 * train_held  # equal while infer kept caches
+
     def test_non_finite_raises(self):
         p = nn.init_params(seed=7, input_hw=16)
         x = np.full((1, 1, 16, 16), np.nan, dtype=np.float32)
@@ -303,3 +327,162 @@ class TestForwardBackward:
             nn.backward(p, caches, np.zeros((4, 7), dtype=np.float32))
         with pytest.raises(StaleCacheError):
             nn.backward(p, caches[:-1], np.zeros((2, 7), dtype=np.float32))
+
+
+# --- reference kernels (window-copy maxpool, tensordot dw), the bit-exact oracles ---
+
+def ref_maxpool_forward(x):
+    n, c, h, w = x.shape
+    win = (x.reshape(n, c, h // 2, 2, w // 2, 2)
+            .transpose(0, 1, 2, 4, 3, 5)
+            .reshape(n, c, h // 2, w // 2, 4))
+    idx = win.argmax(axis=-1)
+    return np.take_along_axis(win, idx[..., None], axis=-1)[..., 0], idx
+
+
+def ref_maxpool_backward(x_shape, idx, upstream):
+    n, c, h, w = x_shape
+    dwin = np.zeros((n, c, h // 2, w // 2, 4), dtype=upstream.dtype)
+    np.put_along_axis(dwin, idx[..., None], upstream[..., None], axis=-1)
+    return (dwin.reshape(n, c, h // 2, w // 2, 2, 2)
+                .transpose(0, 1, 2, 4, 3, 5)
+                .reshape(n, c, h, w))
+
+
+def ref_conv_dw(x, w, upstream, stride, pad):
+    n, _, _, _ = x.shape
+    k, _, kh, kw = w.shape
+    _, _, ho, wo = upstream.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
+    cols = nn._im2col(xp, kh, kw, stride, ho, wo)
+    up = upstream.reshape(n, k, ho * wo)
+    return np.tensordot(up, cols, axes=([0, 2], [0, 2])).reshape(w.shape)
+
+
+def ref_forward_backward(p, x, dlogits):
+    """Logits and gradients with every layer in its serialized order (relu
+    before maxpool) and the reference kernels; dropout off."""
+    pairs = iter(zip(p.weights, p.biases))
+    params = [next(pairs) if spec.parametric else (None, None) for spec in p.layers]
+    caches = []
+    for spec, (w, b) in zip(p.layers, params):
+        caches.append(x)
+        if spec.kind == nn.CONV:
+            x = nn.conv2d_forward(x, w, b, spec.stride, spec.pad)
+        elif spec.kind == nn.RELU:
+            x = nn.relu_forward(x)
+        elif spec.kind == nn.MAXPOOL:
+            x, idx = ref_maxpool_forward(x)
+            caches[-1] = (caches[-1].shape, idx)
+        elif spec.kind == nn.FLATTEN:
+            x = x.reshape(x.shape[0], -1)
+        elif spec.kind == nn.FC:
+            x = nn.fc_forward(x, w, b)
+    logits, dx, grads = x, dlogits, []
+    for spec, (w, _), cache in reversed(list(zip(p.layers, params, caches))):
+        if spec.kind == nn.CONV:
+            dx, dw, db = nn.conv2d_backward(cache, w, dx, spec.stride, spec.pad)
+            grads.insert(0, (dw, db))
+        elif spec.kind == nn.RELU:
+            dx = nn.relu_backward(cache, dx)
+        elif spec.kind == nn.MAXPOOL:
+            dx = ref_maxpool_backward(*cache, dx)
+        elif spec.kind == nn.FLATTEN:
+            dx = dx.reshape(cache.shape)
+        elif spec.kind == nn.FC:
+            dx, dw, db = nn.fc_backward(cache, w, dx)
+            grads.insert(0, (dw, db))
+    return logits, grads
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def post_relu_with_ties(dtype):
+    """Post-ReLU activations with all-zero windows and tied maxima at window
+    positions (1, 3) and (2, 3)."""
+    x = nn.relu_forward(rnd((3, 4, 8, 8), 40, dtype=dtype))
+    x[0, :, 0:2, 0:2] = 0                            # all-zero window
+    x[1, :, 2:4, 4:6] = [[0.25, 0.75], [0.5, 0.75]]  # positions 1 and 3 tie
+    x[2, :, 4:6, 2:4] = [[0.25, 0.5], [0.75, 0.75]]  # positions 2 and 3 tie
+    return x
+
+
+class TestKernelEquivalence:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_maxpool_matches_reference_bit_for_bit(self, dtype):
+        x = post_relu_with_ties(dtype)
+        out, idx = nn.maxpool_forward(x)
+        ref_out, ref_idx = ref_maxpool_forward(x)
+        assert idx.dtype == np.int8
+        assert same_bits(out, ref_out)
+        assert np.array_equal(idx, ref_idx)
+        assert idx[0, 0, 0, 0] == 0 and idx[1, 0, 1, 2] == 1 and idx[2, 0, 2, 1] == 2
+        up = rnd(out.shape, 41, dtype=dtype)
+        assert same_bits(nn.maxpool_backward(x.shape, idx, up),
+                         ref_maxpool_backward(x.shape, ref_idx, up))
+
+    @pytest.mark.parametrize("pos", [0, 1, 2, 3])
+    def test_nan_at_any_window_position_reaches_the_logits(self, pos):
+        # a one-window net: conv 1x1 (identity) - relu - maxpool - flatten - fc
+        p = nn.ModelParams(
+            layers=[nn.LayerSpec(nn.CONV, in_ch=1, out_ch=1, kh=1, kw=1, stride=1),
+                    nn.LayerSpec(nn.RELU), nn.LayerSpec(nn.MAXPOOL), nn.LayerSpec(nn.FLATTEN),
+                    nn.LayerSpec(nn.FC, in_dim=1, out_dim=nn.NUM_CLASSES)],
+            weights=[np.ones((1, 1, 1, 1), np.float32), np.ones((7, 1), np.float32)],
+            biases=[np.zeros(1, np.float32), np.zeros(7, np.float32)])
+        x = np.array([1.0, 3.0, 2.0, 0.5], dtype=np.float32)
+        x[pos] = np.nan
+        with pytest.raises(NonFiniteActivationError):
+            nn.forward(p, x.reshape(1, 1, 2, 2))
+        with pytest.raises(NonFiniteActivationError):
+            nn.forward(p, x.reshape(1, 1, 2, 2), mode="train")
+
+    @pytest.mark.parametrize("spec", [s for s in nn.emo_net_layers() if s.kind == nn.CONV])
+    def test_conv_dw_matches_tensordot(self, spec):
+        hw = {1: 128, 32: 64, 64: 32}[spec.in_ch]
+        x = rnd((2, spec.in_ch, hw, hw), 44, dtype=np.float32)
+        w = rnd(spec.weight_shape, 45, dtype=np.float32)
+        ho, wo = nn.conv_out_hw(hw, hw, spec)
+        up = rnd((2, spec.out_ch, ho, wo), 46, dtype=np.float32)
+        _, dw, _ = nn.conv2d_backward(x, w, up, spec.stride, spec.pad)
+        assert same_bits(dw, ref_conv_dw(x, w, up, spec.stride, spec.pad))
+
+    def test_first_conv_grads_equal_conv2d_backward(self, monkeypatch):
+        p = nn.init_params(seed=10, input_hw=16)
+        x = rnd((2, 1, 16, 16), 47, dtype=np.float32)
+        logits, caches = nn.forward(p, x, mode="train")
+        calls = []  # (upstream, input_grad) of each conv backward; conv1's is last
+        conv_backward = nn.conv2d_backward
+
+        def record(x, w, upstream, stride, pad, input_grad=True):
+            calls.append((upstream.copy(), input_grad))
+            return conv_backward(x, w, upstream, stride, pad, input_grad)
+
+        monkeypatch.setattr(nn, "conv2d_backward", record)
+        dws, dbs = nn.backward(p, caches, rnd(logits.shape, 48, dtype=np.float32))
+        monkeypatch.undo()
+        assert [grad for _, grad in calls] == [True, True, False]
+        conv1 = p.layers[0]
+        _, dw, db = nn.conv2d_backward(x, p.weights[0], calls[-1][0], conv1.stride, conv1.pad)
+        assert same_bits(dws[0], dw) and same_bits(dbs[0], db)
+
+    def test_frozen_forward_matches_bit_for_bit(self):
+        p = nn.init_params(seed=6, input_hw=16).astype(np.float64)
+        x = rnd((2, 1, 16, 16), 26)
+        logits, caches = nn.forward(p, x, mode="train")
+        assert same_bits(nn.forward_frozen(p, x, caches), logits)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_network_matches_serialized_order_bit_for_bit(self, dtype):
+        # the walks pool before relu; the reference runs relu first
+        p = nn.init_params(seed=11, input_hw=32).astype(dtype)
+        x = rnd((4, 1, 32, 32), 49, dtype=dtype)
+        logits, caches = nn.forward(p, x, mode="train")
+        dl = rnd(logits.shape, 50, dtype=dtype)
+        dws, dbs = nn.backward(p, caches, dl)
+        ref_logits, ref_grads = ref_forward_backward(p, x, dl)
+        assert same_bits(logits, ref_logits)
+        for dw, db, (ref_dw, ref_db) in zip(dws, dbs, ref_grads):
+            assert same_bits(dw, ref_dw) and same_bits(db, ref_db)
