@@ -41,6 +41,8 @@ from .imaging import load_pgm, save_pgm
 from .loss import sigmoid
 
 EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_INTERNAL = 0, 1, 2, 3
+# what bad input raises: exit 2 for a whole command, a skip for one frame
+_DATA_ERRORS = (EmotionForgeError, OSError, ValueError)
 
 
 class _UsageError(Exception):
@@ -57,7 +59,7 @@ def _log(msg: str) -> None:
 
 
 def _pgm_files(in_dir: str) -> list[str]:
-    return sorted(glob.glob(os.path.join(in_dir, "*.pgm")))
+    return sorted(glob.glob(os.path.join(glob.escape(in_dir), "*.pgm")))
 
 
 def cmd_align(args) -> int:
@@ -69,7 +71,7 @@ def cmd_align(args) -> int:
             aligned = align_face(*_load_frame(path))
             save_pgm(os.path.join(args.out, name), aligned.image)
             ok += 1
-        except (EmotionForgeError, ValueError, OSError) as exc:
+        except _DATA_ERRORS as exc:
             _log(f"align: skipping {name}: {exc}")
     if ok:
         elapsed = time.perf_counter() - begin
@@ -79,6 +81,8 @@ def cmd_align(args) -> int:
 
 
 def cmd_augment(args) -> int:
+    if args.manifest and not args.manifest_out:
+        raise _UsageError("--manifest needs --manifest-out")
     spec = aug.default_spec()
     files = _pgm_files(args.in_dir)
     written = 0
@@ -160,52 +164,45 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _stream_paths(source: str) -> list[str]:
+def _stream_paths(source: str):
+    """Frame paths; from stdin (``-``) each path as soon as its line arrives."""
     if source == "-":
-        return [line.strip() for line in sys.stdin if line.strip()]
+        return (line.strip() for line in sys.stdin if line.strip())
     return _pgm_files(source)
 
 
-def _load_frame(path: str):
-    lm_path = sidecar_path(path)
-    if not os.path.exists(lm_path):
-        raise MissingSidecarError(f"no {os.path.basename(lm_path)}")
+def _load_frame(path: str, lm_path: str | None = None):
+    """The image and its landmarks, from the sidecar unless ``lm_path`` is given."""
+    if not lm_path:
+        lm_path = sidecar_path(path)
+        if not os.path.exists(lm_path):
+            raise MissingSidecarError(f"no {os.path.basename(lm_path)}")
     return load_pgm(path), read_landmarks(lm_path)
 
 
 def cmd_stream(args) -> int:
     params = train.load_model(args.model)
-    paths = _stream_paths(args.source)
-    count = 0
-    fed_index = []  # original frame number of each pair handed to the stream
 
     def frames():
-        nonlocal count
-        for i, path in enumerate(paths):
+        for path in _stream_paths(args.source):
             try:
-                pair = _load_frame(path)
-            except (EmotionForgeError, OSError, ValueError) as exc:
-                # unreadable frames still produce one record, like alignment
-                # failures inside the stream, so counts stay frame-aligned
-                print(f"{i},skip,{type(exc).__name__}")
-                count += 1
-                continue
-            fed_index.append(i)
-            yield pair
+                frame = _load_frame(path)
+            except _DATA_ERRORS as exc:
+                # an unreadable frame still gets its skip record, so records
+                # stay frame-aligned
+                frame = exc
+            yield frame
 
+    count = 0
     for record in stream.run_stream(params, frames(), alpha=args.alpha, mode=args.mode):
-        record.frame_index = fed_index[record.frame_index]
-        print(record.to_line())
+        print(record.to_line(), flush=True)
         count += 1
     return EXIT_OK if count > 0 else EXIT_DATA
 
 
 def cmd_infer(args) -> int:
     params = train.load_model(args.model)
-    if args.landmarks:
-        source = [(load_pgm(args.image), read_landmarks(args.landmarks))]
-    else:
-        source = [_load_frame(args.image)]
+    source = [_load_frame(args.image, args.landmarks)]
     for record in stream.run_stream(params, source, alpha=1.0, mode=args.mode):
         print(record.to_line())
     return EXIT_OK
@@ -268,12 +265,11 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        return args.func(args)
     except _UsageError as exc:
         _log(f"usage error: {exc}")
         return EXIT_USAGE
-    try:
-        return args.func(args)
-    except (EmotionForgeError, OSError, ValueError) as exc:
+    except _DATA_ERRORS as exc:
         _log(f"error: {type(exc).__name__}: {exc}")
         return EXIT_DATA
     except Exception as exc:  # pragma: no cover - defensive

@@ -34,9 +34,6 @@ from .imaging import load_pgm
 from .alignment import sidecar_path
 from .rng import Prng
 
-NUM_CLASSES = 7
-
-
 class EmotionClass(enum.IntEnum):
     ANGRY = 0
     DISGUST = 1
@@ -58,6 +55,7 @@ class EmotionClass(enum.IntEnum):
         return self.name.lower()
 
 
+NUM_CLASSES = len(EmotionClass)
 CLASS_NAMES = tuple(c.label for c in EmotionClass)
 
 
@@ -114,15 +112,10 @@ def select_sequence_frames(n: int, apex: int) -> list[int]:
         picks = []
         prev = lo - 1
         for k, t in enumerate(targets):
-            window_hi = hi - (len(targets) - 1 - k)
-            best = None
-            best_d = None
-            for f in range(prev + 1, window_hi + 1):
-                d = abs(intensity(f) - t)
-                if best is None or d < best_d:
-                    best, best_d = f, d
-            picks.append(best)
-            prev = best
+            window = range(prev + 1, hi - (len(targets) - 1 - k) + 1)
+            # min keeps the first (earliest) frame on a tie
+            prev = min(window, key=lambda f: abs(intensity(f) - t))
+            picks.append(prev)
         return picks
 
     rising = side([0.2, 0.4, 0.6, 0.8], 0, apex - 1, lambda f: f / apex)
@@ -177,6 +170,11 @@ def load_manifest(path, mode: str) -> list[Sample]:
     return samples
 
 
+def _scale_pixels(pixels: np.ndarray) -> np.ndarray:
+    """uint8 pixels as the network's float32 inputs in [0, 1]."""
+    return (pixels / np.float32(255.0)).astype(np.float32)
+
+
 def load_batch_inputs(batch_samples: list[Sample]) -> Batch:
     """Load one batch worth of aligned 128x128 images, scaled to [0, 1]."""
     imgs = []
@@ -186,7 +184,7 @@ def load_batch_inputs(batch_samples: list[Sample]) -> Batch:
             raise ValueError(f"{s.image_path}: expected a 128x128 aligned face, got "
                              f"{img.shape[1]}x{img.shape[0]} (run alignment first)")
         imgs.append(img)
-    inputs = (np.stack(imgs)[:, None, :, :] / np.float32(255.0)).astype(np.float32)
+    inputs = _scale_pixels(np.stack(imgs)[:, None, :, :])
     targets = np.array([s.label for s in batch_samples], dtype=np.int64)
     if batch_samples[0].intensity is not None:
         intensities = np.stack([s.intensity for s in batch_samples]).astype(np.float32)

@@ -120,6 +120,15 @@ def adjust_brightness(img: np.ndarray, factor: float) -> np.ndarray:
 
 # --- geometric ops ------------------------------------------------------------
 
+def _taps(s: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bilinear taps along an axis of length ``n`` for source coordinates ``s``:
+    the floor of the clipped coordinate, the next tap clamped to the edge, and
+    the fraction between them."""
+    s = np.clip(s, 0, n - 1)
+    i0 = np.floor(s).astype(np.intp)
+    return i0, np.minimum(i0 + 1, n - 1), s - i0
+
+
 def resize_bilinear(img: np.ndarray, out_w: int, out_h: int) -> np.ndarray:
     """Bilinear resize with pixel-center alignment.
 
@@ -129,14 +138,9 @@ def resize_bilinear(img: np.ndarray, out_w: int, out_h: int) -> np.ndarray:
     if out_w <= 0 or out_h <= 0:
         raise ZeroDimensionError(f"target {out_w}x{out_h}")
     h, w = img.shape
-    sx = np.clip((np.arange(out_w) + 0.5) * (w / out_w) - 0.5, 0, w - 1)
-    sy = np.clip((np.arange(out_h) + 0.5) * (h / out_h) - 0.5, 0, h - 1)
-    x0 = np.floor(sx).astype(np.intp)
-    y0 = np.floor(sy).astype(np.intp)
-    x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
-    fx = (sx - x0)[None, :]
-    fy = (sy - y0)[:, None]
+    x0, x1, fx = _taps((np.arange(out_w) + 0.5) * (w / out_w) - 0.5, w)
+    y0, y1, fy = _taps((np.arange(out_h) + 0.5) * (h / out_h) - 0.5, h)
+    fx, fy = fx[None, :], fy[:, None]
     p = img.astype(np.float64)
     top = p[np.ix_(y0, x0)] * (1 - fx) + p[np.ix_(y0, x1)] * fx
     bot = p[np.ix_(y1, x0)] * (1 - fx) + p[np.ix_(y1, x1)] * fx
@@ -160,14 +164,8 @@ def warp_rotate(img: np.ndarray, angle: float, center: tuple[float, float]) -> n
     # tolerance keeps boundary membership from flipping on 1e-16 trig noise
     tol = 1e-9
     inside = (sx >= -tol) & (sx <= w - 1 + tol) & (sy >= -tol) & (sy <= h - 1 + tol)
-    sx = np.clip(sx, 0, w - 1)
-    sy = np.clip(sy, 0, h - 1)
-    x0 = np.floor(sx).astype(np.intp)
-    y0 = np.floor(sy).astype(np.intp)
-    x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
-    fx = sx - x0
-    fy = sy - y0
+    x0, x1, fx = _taps(sx, w)
+    y0, y1, fy = _taps(sy, h)
     p = img.astype(np.float64)
     val = (p[y0, x0] * (1 - fx) * (1 - fy) + p[y0, x1] * fx * (1 - fy)
            + p[y1, x0] * (1 - fx) * fy + p[y1, x1] * fx * fy)

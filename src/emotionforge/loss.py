@@ -12,9 +12,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .dataset import NUM_CLASSES
 from .errors import IndexOutOfRangeError, TargetOutOfRangeError
-
-NUM_CLASSES = 7
 
 
 class LossValue(NamedTuple):

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
+from .dataset import NUM_CLASSES
 from .errors import (
     ModelModeMismatchError,
     NonFiniteActivationError,
@@ -33,7 +34,6 @@ from .errors import (
 )
 from .rng import Prng
 
-NUM_CLASSES = 7
 DROPOUT_P = 0.5
 
 CONV, RELU, MAXPOOL, FLATTEN, FC, DROPOUT = "conv", "relu", "maxpool", "flatten", "fc", "dropout"
@@ -140,13 +140,17 @@ def init_params(seed: int, input_hw: int = 128, mode: str = "classification") ->
 
 # --- layer primitives ----------------------------------------------------------
 
+def _patch_windows(xp: np.ndarray, kh: int, kw: int, stride: int, ho: int, wo: int) -> np.ndarray:
+    """(N, C, kh, kw, ho, wo) strided view of the patches of a padded input."""
+    sn, sc, sh, sw = xp.strides
+    return as_strided(xp, shape=(*xp.shape[:2], kh, kw, ho, wo),
+                      strides=(sn, sc, sh, sw, stride * sh, stride * sw))
+
+
 def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, ho: int, wo: int) -> np.ndarray:
     """(N, C*kh*kw, ho*wo) patch matrix from a padded (N, C, H, W) input."""
     n, c, _, _ = xp.shape
-    sn, sc, sh, sw = xp.strides
-    win = as_strided(xp, shape=(n, c, kh, kw, ho, wo),
-                     strides=(sn, sc, sh, sw, stride * sh, stride * sw))
-    return win.reshape(n, c * kh * kw, ho * wo)
+    return _patch_windows(xp, kh, kw, stride, ho, wo).reshape(n, c * kh * kw, ho * wo)
 
 
 def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray,
@@ -156,8 +160,7 @@ def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray,
     k, cw, kh, kw = w.shape
     if c != cw:
         raise ShapeMismatchError(f"input has {c} channels, kernel expects {cw}")
-    ho = (h + 2 * pad - kh) // stride + 1
-    wo = (wd + 2 * pad - kw) // stride + 1
+    ho, wo = conv_out_hw(h, wd, LayerSpec(CONV, kh=kh, kw=kw, stride=stride, pad=pad))
     if ho < 1 or wo < 1:
         raise ShapeMismatchError(f"kernel {kh}x{kw} does not fit {h}x{wd} input")
     xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
@@ -183,9 +186,7 @@ def conv2d_backward(x: np.ndarray, w: np.ndarray, upstream: np.ndarray,
     if ku != k or upstream.shape[0] != n:
         raise ShapeMismatchError("upstream shape does not match forward output")
     xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
-    sn, sc, sh, sw = xp.strides
-    cols = as_strided(xp, shape=(c, kh, kw, n, ho, wo),
-                      strides=(sc, sh, sw, sn, stride * sh, stride * sw))
+    cols = _patch_windows(xp, kh, kw, stride, ho, wo).transpose(1, 2, 3, 0, 4, 5)
     cols = cols.reshape(c * kh * kw, n * ho * wo)
     dw = (upstream.transpose(1, 0, 2, 3).reshape(k, n * ho * wo) @ cols.T).reshape(w.shape)
     db = upstream.sum(axis=(0, 2, 3))
@@ -358,9 +359,7 @@ def forward(params: ModelParams, x: np.ndarray, mode: str = "infer",
     x, caches = _forward_walk(params, x, rng if train else None, keep=train)
     if not np.isfinite(x).all():
         raise NonFiniteActivationError("non-finite logits")
-    if train:
-        return x, caches
-    return x
+    return (x, caches) if train else x
 
 
 def forward_frozen(params: ModelParams, x: np.ndarray, caches: list) -> np.ndarray:

@@ -95,10 +95,6 @@ class Prng:
         out[1::2] = r * np.sin(theta)
         return out[:n]
 
-    def below(self, n: int) -> int:
-        """One integer uniform in [0, n)."""
-        return self.next_uint64() % n
-
     def permutation(self, n: int) -> np.ndarray:
         """Fisher-Yates permutation of range(n)."""
         perm = np.arange(n)

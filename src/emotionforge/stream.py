@@ -9,7 +9,7 @@ parity tests rely on that.
 Record text schema (one line per frame, comma-separated):
 
     <frame_index>,<class_name>,<v0>,...,<v6>,<latency_ms>    intensities %.4f
-    <frame_index>,skip,<reason>                              alignment failed
+    <frame_index>,skip,<reason>                              unreadable or unalignable
 
 latency_ms covers the whole per-frame step (alignment + inference +
 smoothing), unlike evaluate.latency_report which times inference alone.
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .alignment import align_face
-from .dataset import EmotionClass
+from .dataset import EmotionClass, _scale_pixels
 from .errors import BadAlphaError, EmotionForgeError
 from .evaluate import regression_to_class
 from .loss import sigmoid, softmax
@@ -60,7 +60,8 @@ def run_stream(params: ModelParams, frame_source, alpha: float = 0.3,
     Per frame: align, infer, map logits to per-class intensities (softmax for
     a classification head, per-dimension sigmoid for a regression head),
     smooth, then classify the smoothed vector. Frames whose alignment fails
-    yield a skip record and leave the smoothing state untouched.
+    yield a skip record and leave the smoothing state untouched, and so does
+    an exception given in place of a pair (a frame that could not be read).
     """
     if not 0.0 < alpha <= 1.0:
         raise BadAlphaError(f"alpha {alpha} outside (0, 1]")
@@ -69,17 +70,20 @@ def run_stream(params: ModelParams, frame_source, alpha: float = 0.3,
 
 def _stream_records(params, frame_source, alpha, mode):
     state: np.ndarray | None = None
-    for frame_index, (img, lm) in enumerate(frame_source):
+    for frame_index, frame in enumerate(frame_source):
         begin = time.perf_counter()
+        skip = frame if isinstance(frame, Exception) else None
         try:
-            aligned = align_face(img, lm)
+            aligned = None if skip else align_face(*frame)
         except EmotionForgeError as exc:
+            skip = exc
+        if skip:
             yield FrameRecord(frame_index=frame_index, emotion=None, intensity=None,
                               raw_intensity=None,
                               latency_ms=(time.perf_counter() - begin) * 1000.0,
-                              skip_reason=type(exc).__name__)
+                              skip_reason=type(skip).__name__)
             continue
-        x = (aligned.image[None, None, :, :] / np.float32(255.0)).astype(np.float32)
+        x = _scale_pixels(aligned.image[None, None, :, :])
         logits = forward(params, x, mode="infer")[0]
         raw = softmax(logits[None, :])[0] if mode == "classification" else sigmoid(logits)
         state = raw if state is None else smooth(state, raw, alpha)

@@ -44,6 +44,9 @@ from .nn import (
 )
 from .rng import Prng
 
+_LR_DECAY = 0.1          # multiplicative, applied every _LR_DECAY_EVERY iterations
+_LR_DECAY_EVERY = 20_000
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -54,8 +57,6 @@ class TrainConfig:
     seed: int = 0
     checkpoint_every: int = 1000
     mode: str = "classification"   # classification | regression
-    lr_decay: float = 0.1          # multiplicative, applied every lr_decay_every
-    lr_decay_every: int = 20_000
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -104,7 +105,7 @@ def sgd_step(tensors: list[np.ndarray], velocities: list[np.ndarray],
     return tensors, velocities
 
 
-def _batch_loss(params: ModelParams, batch: Batch, mode: str, logits: np.ndarray):
+def _batch_loss(batch: Batch, mode: str, logits: np.ndarray):
     if mode == "classification":
         return losses.softmax_ce(logits, batch.class_targets)
     return losses.sigmoid_ce(logits, batch.intensity_targets)
@@ -136,7 +137,7 @@ def evaluate_dataset(params: ModelParams, samples: list[Sample], mode: str,
     total_loss = 0.0
     correct = 0
     for batch, logits, labels in _predict_batches(params, samples, mode, batch_size):
-        total_loss += _batch_loss(params, batch, mode, logits).value * logits.shape[0]
+        total_loss += _batch_loss(batch, mode, logits).value * logits.shape[0]
         correct += int((logits.argmax(axis=1) == labels).sum())
     return ValRecord(iteration=0, loss=total_loss / len(samples),
                      accuracy=correct / len(samples))
@@ -164,8 +165,7 @@ def train_loop(config: TrainConfig, train_set: list[Sample], val_set: list[Sampl
     else:
         if params is None:
             params = init_params(config.seed, mode=config.mode)
-        velocities = [np.zeros_like(w) for w in params.weights]
-        velocities += [np.zeros_like(b) for b in params.biases]
+        velocities = [np.zeros_like(t) for t in params.weights + params.biases]
         history = TrainHistory()
         start = 0
 
@@ -182,12 +182,12 @@ def train_loop(config: TrainConfig, train_set: list[Sample], val_set: list[Sampl
                                      rng=Prng.derive(config.seed, 2, it))
         except NonFiniteActivationError as exc:
             raise NonFiniteLossError(f"diverged at iteration {it + 1}: {exc}") from exc
-        lv = _batch_loss(params, batch, config.mode, logits)
+        lv = _batch_loss(batch, config.mode, logits)
         if not np.isfinite(lv.value):
             raise NonFiniteLossError(f"loss {lv.value} at iteration {it + 1}")
         dweights, dbiases = backward(params, caches, lv.dlogits)
 
-        lr = config.learning_rate * config.lr_decay ** (it // config.lr_decay_every)
+        lr = config.learning_rate * _LR_DECAY ** (it // _LR_DECAY_EVERY)
         sgd_step(params.weights + params.biases, velocities, dweights + dbiases,
                  lr, config.momentum)
         history.train_loss.append(lv.value)
@@ -207,22 +207,21 @@ def train_loop(config: TrainConfig, train_set: list[Sample], val_set: list[Sampl
 
 _MAGIC = b"EMO1"
 _VERSION = 1
+_HEADER = struct.Struct("<IBI")  # version, mode byte, layer count
+_MODES = ("classification", "regression")  # indexed by the mode byte
 _KIND_TO_BYTE = {CONV: 0, RELU: 1, MAXPOOL: 2, FLATTEN: 3, FC: 4, DROPOUT: 5}
 _BYTE_TO_KIND = {v: k for k, v in _KIND_TO_BYTE.items()}
+# the u32 descriptor fields that follow a layer's kind byte, in file order
+_DESCRIPTOR_FIELDS = {CONV: ("in_ch", "out_ch", "kh", "kw", "stride", "pad"),
+                      FC: ("in_dim", "out_dim")}
 
 
 def save_model(params: ModelParams, path) -> None:
-    payload = bytearray()
-    payload += struct.pack("<I", _VERSION)
-    payload += struct.pack("<B", 0 if params.mode == "classification" else 1)
-    payload += struct.pack("<I", len(params.layers))
+    payload = bytearray(_HEADER.pack(_VERSION, _MODES.index(params.mode), len(params.layers)))
     for spec in params.layers:
-        payload += struct.pack("<B", _KIND_TO_BYTE[spec.kind])
-        if spec.kind == CONV:
-            payload += struct.pack("<6I", spec.in_ch, spec.out_ch, spec.kh, spec.kw,
-                                   spec.stride, spec.pad)
-        elif spec.kind == FC:
-            payload += struct.pack("<2I", spec.in_dim, spec.out_dim)
+        fields = _DESCRIPTOR_FIELDS.get(spec.kind, ())
+        payload += struct.pack(f"<B{len(fields)}I", _KIND_TO_BYTE[spec.kind],
+                               *(getattr(spec, name) for name in fields))
     for w in params.weights:
         payload += np.ascontiguousarray(w, dtype="<f4").tobytes()
     for b in params.biases:
@@ -236,40 +235,30 @@ def save_model(params: ModelParams, path) -> None:
 def load_model(path) -> ModelParams:
     with open(path, "rb") as f:
         blob = f.read()
-    if len(blob) < 4 or blob[:4] != _MAGIC:
+    if blob[:4] != _MAGIC:
         raise BadMagicError(f"{path}: not an EMO1 model file")
-    if len(blob) < 17:
+    if len(blob) < 4 + _HEADER.size + 4:
         raise ModelIoError(f"{path}: truncated header")
     payload, trailer = blob[4:-4], blob[-4:]
     if zlib.crc32(payload) != struct.unpack("<I", trailer)[0]:
         raise ChecksumMismatchError(f"{path}: CRC-32 mismatch")
-    version = struct.unpack_from("<I", payload, 0)[0]
+    version, mode_byte, layer_count = _HEADER.unpack_from(payload)
     if version != _VERSION:
         raise VersionMismatchError(f"{path}: format version {version}, expected {_VERSION}")
-    mode_byte = payload[4]
-    if mode_byte not in (0, 1):
+    if mode_byte >= len(_MODES):
         raise ModelIoError(f"{path}: bad mode byte {mode_byte}")
-    layer_count = struct.unpack_from("<I", payload, 5)[0]
 
-    off = 9
+    off = _HEADER.size
     layers: list[LayerSpec] = []
     try:
         for _ in range(layer_count):
             kind = _BYTE_TO_KIND.get(payload[off])
             if kind is None:
                 raise ModelIoError(f"{path}: unknown layer kind byte {payload[off]}")
-            off += 1
-            if kind == CONV:
-                in_ch, out_ch, kh, kw, stride, pad = struct.unpack_from("<6I", payload, off)
-                off += 24
-                layers.append(LayerSpec(CONV, in_ch=in_ch, out_ch=out_ch, kh=kh, kw=kw,
-                                        stride=stride, pad=pad))
-            elif kind == FC:
-                in_dim, out_dim = struct.unpack_from("<2I", payload, off)
-                off += 8
-                layers.append(LayerSpec(FC, in_dim=in_dim, out_dim=out_dim))
-            else:
-                layers.append(LayerSpec(kind))
+            fields = _DESCRIPTOR_FIELDS.get(kind, ())
+            values = struct.unpack_from(f"<{len(fields)}I", payload, off + 1)
+            off += 1 + 4 * len(fields)
+            layers.append(LayerSpec(kind, **dict(zip(fields, values))))
     except (struct.error, IndexError):
         raise ModelIoError(f"{path}: truncated layer table") from None
 
@@ -288,7 +277,7 @@ def load_model(path) -> ModelParams:
     if off != len(payload):
         raise ModelIoError(f"{path}: {len(payload) - off} unexpected trailing bytes")
     return ModelParams(layers=layers, weights=weights, biases=biases,
-                       mode="classification" if mode_byte == 0 else "regression")
+                       mode=_MODES[mode_byte])
 
 
 # --- gradient checking --------------------------------------------------------------
@@ -336,7 +325,7 @@ def gradient_check(params: ModelParams, batch: Batch, mode: str,
     x = batch.inputs.astype(np.float64)
 
     logits, caches = forward(p64, x, mode="train", rng=None)
-    lv = _batch_loss(p64, batch, mode, logits)
+    lv = _batch_loss(batch, mode, logits)
     dweights, dbiases = backward(p64, caches, lv.dlogits)
 
     def loss_value() -> float:
@@ -344,7 +333,7 @@ def gradient_check(params: ModelParams, batch: Batch, mode: str,
             lg = forward_frozen(p64, x, caches)
         else:
             lg = forward(p64, x, mode="infer")
-        return _batch_loss(p64, batch, mode, lg).value
+        return _batch_loss(batch, mode, lg).value
 
     rng = Prng.derive(seed, 3)
     report = GradCheckReport(0.0, "", (), 0.0, 0.0, tolerance)

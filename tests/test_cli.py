@@ -1,5 +1,6 @@
 import io
 import os
+import select
 import subprocess
 import sys
 
@@ -48,6 +49,14 @@ class TestAlign:
         src.mkdir(), dst.mkdir()
         assert main(["align", str(src), "--out", str(dst)]) == 2
 
+    def test_glob_characters_in_input_dir(self, tmp_path):
+        src = tmp_path / "frames[1]"
+        dst = tmp_path / "aligned"
+        src.mkdir(), dst.mkdir()
+        write_face_pair(src, "f0")
+        assert main(["align", str(src), "--out", str(dst)]) == 0
+        assert os.listdir(dst) == ["f0.pgm"]
+
 
 class TestAugment:
     def test_fanout_and_naming(self, tmp_path):
@@ -81,6 +90,17 @@ class TestAugment:
         assert len(lines) == 56
         assert sum(1 for l in lines if l.endswith(",angry")) == 28
         assert sum(1 for l in lines if l.endswith(",happy,0.6")) == 28
+
+    def test_manifest_without_manifest_out_is_usage_error(self, tmp_path):
+        src = tmp_path / "in"
+        dst = tmp_path / "out"
+        src.mkdir(), dst.mkdir()
+        imaging.save_pgm(src / "a.pgm", toy_pattern(0, Prng(6)))
+        manifest = tmp_path / "m.csv"
+        manifest.write_text("a.pgm,angry\n")
+        assert main(["augment", str(src), "--out", str(dst),
+                     "--manifest", str(manifest)]) == 1
+        assert os.listdir(dst) == []
 
     def test_empty_dir_fails(self, tmp_path):
         (tmp_path / "in").mkdir()
@@ -190,6 +210,28 @@ class TestInferAndStream:
         monkeypatch.setattr("sys.stdin", io.StringIO(listing + "\n"))
         assert main(["stream", "-", "--model", str(model_path)]) == 0
         assert len(capsys.readouterr().out.strip().splitlines()) == 2
+
+    def test_stream_stdin_is_live(self, frames_dir, model_path):
+        # a producer that has sent one path and keeps stdin open gets its
+        # record without waiting for EOF
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        with subprocess.Popen([sys.executable, "-m", "emotionforge.cli", "stream", "-",
+                               "--model", str(model_path)], env=env, text=True,
+                              stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                              stderr=subprocess.DEVNULL) as proc:
+            try:
+                proc.stdin.write(f"{frames_dir / 'frame_0000.pgm'}\n")
+                proc.stdin.flush()
+                ready, _, _ = select.select([proc.stdout], [], [], 30)
+                assert ready, "no record while stdin stays open"
+                assert proc.stdout.readline().startswith("0,")
+                rest, _ = proc.communicate(timeout=60)  # closes stdin: EOF
+                assert proc.returncode == 0 and rest == ""
+            finally:
+                if proc.poll() is None:
+                    proc.kill()
 
     def test_bad_model_file(self, frames_dir, tmp_path, capsys):
         bad = tmp_path / "bad.emo"

@@ -47,10 +47,3 @@ def test_choice_without_replacement():
     picks = Prng(10).choice(1000, 50)
     assert len(picks) == 50 and len(set(picks.tolist())) == 50
     assert np.array_equal(Prng(11).choice(5, 10), np.arange(5))
-
-
-def test_below_in_range():
-    rng = Prng(12)
-    vals = [rng.below(13) for _ in range(2000)]
-    assert min(vals) >= 0 and max(vals) < 13
-    assert len(set(vals)) == 13

@@ -88,6 +88,16 @@ class TestRunStream:
         # the skipped frame must not touch the EMA state
         assert np.allclose(records[2].intensity, records[0].intensity)
 
+    def test_exception_in_place_of_frame_is_a_skip(self, model, archetypes):
+        a, b = archetypes
+        records = list(stream.run_stream(model, [a, FileNotFoundError("x.pgm"), b],
+                                         alpha=0.3))
+        assert [r.frame_index for r in records] == [0, 1, 2]
+        assert records[1].to_line() == "1,skip,FileNotFoundError"
+        # smoothed as if the unreadable frame were absent
+        without = list(stream.run_stream(model, [a, b], alpha=0.3))
+        assert np.array_equal(records[2].intensity, without[1].intensity)
+
     def test_regression_head_uses_sigmoid(self, archetypes):
         params = nn.init_params(seed=22, mode="regression")
         img, lm = archetypes[0]

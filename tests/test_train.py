@@ -183,6 +183,34 @@ class TestModelFiles:
         with pytest.raises(ModelIoError):
             train.load_model(path)
 
+    def test_layer_table_bytes(self, tmp_path):
+        # the header and descriptors as README documents them, for the
+        # 16x16 clone: kind bytes conv 0, relu 1, maxpool 2, flatten 3,
+        # fc 4, dropout 5; conv u32 in_ch,out_ch,kh,kw,stride,pad; fc u32
+        # in_dim,out_dim
+        import struct
+        path = tmp_path / "m.emo"
+        train.save_model(nn.init_params(seed=3, input_hw=16), path)
+        expected = (b"EMO1" + struct.pack("<IBI", 1, 0, 14)
+                    + struct.pack("<B6I", 0, 1, 32, 5, 5, 2, 2) + bytes([1, 2])
+                    + struct.pack("<B6I", 0, 32, 64, 3, 3, 1, 1) + bytes([1, 2])
+                    + struct.pack("<B6I", 0, 64, 128, 3, 3, 1, 1) + bytes([1, 2, 3])
+                    + struct.pack("<B2I", 4, 128, 256) + bytes([1, 5])
+                    + struct.pack("<B2I", 4, 256, 7))
+        assert path.read_bytes()[:len(expected)] == expected
+
+    def test_truncated_layer_table(self, tmp_path):
+        import struct
+        import zlib
+        p = nn.init_params(seed=1, input_hw=16)
+        path = tmp_path / "m.emo"
+        train.save_model(p, path)
+        # cut inside the first conv descriptor, then re-sign
+        payload = path.read_bytes()[4:4 + 9 + 1 + 10]
+        path.write_bytes(b"EMO1" + payload + struct.pack("<I", zlib.crc32(payload)))
+        with pytest.raises(ModelIoError, match="truncated layer table"):
+            train.load_model(path)
+
 
 class TestGradientCheck:
     def make_batch(self, mode):
