@@ -36,6 +36,7 @@ import numpy as np
 from . import augment as aug
 from . import dataset, evaluate, stream, train
 from .alignment import align_face, read_landmarks, sidecar_path
+from .dataset import MODES
 from .errors import EmotionForgeError, MissingSidecarError
 from .imaging import load_pgm, save_pgm
 from .loss import sigmoid
@@ -62,17 +63,29 @@ def _pgm_files(in_dir: str) -> list[str]:
     return sorted(glob.glob(os.path.join(glob.escape(in_dir), "*.pgm")))
 
 
-def cmd_align(args) -> int:
+def _stem(path: str) -> str:
+    return os.path.splitext(os.path.basename(path))[0]
+
+
+def _each_image(cmd: str, in_dir: str, work) -> int:
+    """Run ``work(path, name)`` on each PGM in ``in_dir``, skipping bad data; count successes."""
     ok = 0
-    begin = time.perf_counter()
-    for path in _pgm_files(args.in_dir):
+    for path in _pgm_files(in_dir):
         name = os.path.basename(path)
         try:
-            aligned = align_face(*_load_frame(path))
-            save_pgm(os.path.join(args.out, name), aligned.image)
+            work(path, name)
             ok += 1
         except _DATA_ERRORS as exc:
-            _log(f"align: skipping {name}: {exc}")
+            _log(f"{cmd}: skipping {name}: {exc}")
+    return ok
+
+
+def cmd_align(args) -> int:
+    def align_one(path, name):
+        save_pgm(os.path.join(args.out, name), align_face(*_load_frame(path)).image)
+
+    begin = time.perf_counter()
+    ok = _each_image("align", args.in_dir, align_one)
     if ok:
         elapsed = time.perf_counter() - begin
         _log(f"align: {elapsed:.4g}s total, {elapsed / ok:.4g} s/image")
@@ -84,44 +97,40 @@ def cmd_augment(args) -> int:
     if args.manifest and not args.manifest_out:
         raise _UsageError("--manifest needs --manifest-out")
     spec = aug.default_spec()
-    files = _pgm_files(args.in_dir)
-    written = 0
-    stem_tags: dict[str, list[str]] = {}
-    for path in files:
-        stem = os.path.splitext(os.path.basename(path))[0]
-        tags = []
+    variant_paths: dict[str, list[str]] = {}  # by stem
+
+    def augment_one(path, name):
+        stem = _stem(name)
+        paths = []
         for tag, img in aug.variants(load_pgm(path), spec):
-            save_pgm(os.path.join(args.out, f"{stem}__{tag}.pgm"), img)
-            tags.append(tag)
-            written += 1
-        stem_tags[stem] = tags
+            paths.append(os.path.join(args.out, f"{stem}__{tag}.pgm"))
+            save_pgm(paths[-1], img)
+        variant_paths[stem] = paths
+
+    ok = _each_image("augment", args.in_dir, augment_one)
     if args.manifest:
-        _replicate_manifest(args.manifest, args.manifest_out, args.out, stem_tags)
-    print(f"wrote {written} variants from {len(files)} images")
-    return EXIT_OK if written > 0 else EXIT_DATA
+        _replicate_manifest(args.manifest, args.manifest_out, variant_paths)
+    print(f"wrote {sum(map(len, variant_paths.values()))} variants from {ok} images")
+    return EXIT_OK if ok > 0 else EXIT_DATA
 
 
-def _replicate_manifest(manifest_in, manifest_out, out_dir, stem_tags) -> None:
-    """One output manifest line per variant, labels carried over unchanged."""
-    with open(manifest_in) as src, open(manifest_out, "w") as dst:
-        for raw in src:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split(",")
-            stem = os.path.splitext(os.path.basename(fields[0]))[0]
-            rest = ",".join(fields[1:])
-            for tag in stem_tags.get(stem, []):
-                dst.write(f"{os.path.join(out_dir, f'{stem}__{tag}.pgm')},{rest}\n")
+def _replicate_manifest(manifest_in, manifest_out, variant_paths) -> None:
+    """One output manifest line per variant, labels carried over unchanged; the
+    path is relative to the output manifest, as ``dataset.load_manifest`` reads it."""
+    rows = list(dataset.manifest_rows(manifest_in))  # before the output file exists
+    base = os.path.dirname(os.path.abspath(manifest_out))
+    with open(manifest_out, "w") as dst:
+        for _, fields in rows:
+            for path in variant_paths.get(_stem(fields[0]), []):
+                dst.write(",".join([os.path.relpath(path, base)] + fields[1:]) + "\n")
 
 
 def cmd_train(args) -> int:
-    config = train.TrainConfig(learning_rate=args.lr, momentum=args.momentum,
-                               batch_size=args.batch_size, max_iterations=args.iterations,
-                               seed=args.seed, checkpoint_every=args.checkpoint_every,
-                               mode=args.mode)
-    train_set = dataset.load_manifest(args.manifest, args.mode)
-    val_set = dataset.load_manifest(args.val_manifest, args.mode)
+    # args holds only the hyperparameter flags given (see build_parser)
+    config = train.TrainConfig(**{k: v for k, v in vars(args).items()
+                                  if k in train.TrainConfig.__dataclass_fields__})
+    train_set = dataset.load_manifest(args.manifest, config.mode)
+    val_set = dataset.load_manifest(args.val_manifest, config.mode)
     ckpt, history = train.train_loop(config, train_set, val_set)
     for rec in history.val_records:
         _log(f"train: iteration {rec.iteration}: "
@@ -164,11 +173,16 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _stream_paths(source: str):
-    """Frame paths; from stdin (``-``) each path as soon as its line arrives."""
-    if source == "-":
-        return (line.strip() for line in sys.stdin if line.strip())
-    return _pgm_files(source)
+def _stream_frames(source: str):
+    """Each frame's (image, landmarks), or the data error reading it raised, so records
+    stay frame-aligned; ``-`` takes the paths from stdin, each as its line arrives."""
+    paths = (line.strip() for line in sys.stdin) if source == "-" else _pgm_files(source)
+    for path in filter(None, paths):
+        try:
+            frame = _load_frame(path)
+        except _DATA_ERRORS as exc:
+            frame = exc
+        yield frame
 
 
 def _load_frame(path: str, lm_path: str | None = None):
@@ -182,19 +196,9 @@ def _load_frame(path: str, lm_path: str | None = None):
 
 def cmd_stream(args) -> int:
     params = train.load_model(args.model)
-
-    def frames():
-        for path in _stream_paths(args.source):
-            try:
-                frame = _load_frame(path)
-            except _DATA_ERRORS as exc:
-                # an unreadable frame still gets its skip record, so records
-                # stay frame-aligned
-                frame = exc
-            yield frame
-
+    frames = _stream_frames(args.source)
     count = 0
-    for record in stream.run_stream(params, frames(), alpha=args.alpha, mode=args.mode):
+    for record in stream.run_stream(params, frames, alpha=args.alpha, mode=args.mode):
         print(record.to_line(), flush=True)
         count += 1
     return EXIT_OK if count > 0 else EXIT_DATA
@@ -225,39 +229,40 @@ def build_parser() -> _Parser:
     p.add_argument("--manifest-out", help="where to write the replicated manifest")
     p.set_defaults(func=cmd_augment)
 
-    p = sub.add_parser("train", help="train a model from a manifest")
+    # hyperparameter flags set TrainConfig fields; one left out keeps TrainConfig's default
+    p = sub.add_parser("train", help="train a model from a manifest",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("manifest")
     p.add_argument("--val-manifest", required=True)
     p.add_argument("--out", required=True, help="model file to write")
-    p.add_argument("--history", help="per-iteration loss log to write")
-    p.add_argument("--mode", choices=("classification", "regression"),
-                   default="classification")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--lr", type=float, default=0.01)
-    p.add_argument("--momentum", type=float, default=0.9)
-    p.add_argument("--batch-size", type=int, default=64)
-    p.add_argument("--iterations", type=int, default=50_000)
-    p.add_argument("--checkpoint-every", type=int, default=1000)
+    p.add_argument("--history", default=None, help="per-iteration loss log to write")
+    p.add_argument("--mode", choices=MODES)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--lr", dest="learning_rate", metavar="LR", type=float)
+    p.add_argument("--momentum", type=float)
+    p.add_argument("--batch-size", type=int)
+    p.add_argument("--iterations", dest="max_iterations", metavar="ITERATIONS", type=int)
+    p.add_argument("--checkpoint-every", type=int)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="confusion matrix / accuracy / RMSE")
     p.add_argument("manifest")
     p.add_argument("--model", required=True)
-    p.add_argument("--mode", choices=("classification", "regression"))
+    p.add_argument("--mode", choices=MODES)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("infer", help="single-image prediction")
     p.add_argument("image")
     p.add_argument("--model", required=True)
     p.add_argument("--landmarks", help="defaults to the image's .lm68 sidecar")
-    p.add_argument("--mode", choices=("classification", "regression"))
+    p.add_argument("--mode", choices=MODES)
     p.set_defaults(func=cmd_infer)
 
     p = sub.add_parser("stream", help="per-frame records for a directory or stdin list")
     p.add_argument("source", help="frame directory, or - to read paths from stdin")
     p.add_argument("--model", required=True)
     p.add_argument("--alpha", type=float, default=0.3)
-    p.add_argument("--mode", choices=("classification", "regression"))
+    p.add_argument("--mode", choices=MODES)
     p.set_defaults(func=cmd_stream)
     return parser
 

@@ -31,7 +31,7 @@ from .errors import (
     UnknownClassNameError,
 )
 from .imaging import load_pgm
-from .alignment import sidecar_path
+from .alignment import ALIGNED_SIZE, sidecar_path
 from .rng import Prng
 
 class EmotionClass(enum.IntEnum):
@@ -57,6 +57,8 @@ class EmotionClass(enum.IntEnum):
 
 NUM_CLASSES = len(EmotionClass)
 CLASS_NAMES = tuple(c.label for c in EmotionClass)
+# the two heads; a model file stores the index as its mode byte
+MODES = ("classification", "regression")
 
 
 @dataclass(frozen=True)
@@ -124,49 +126,50 @@ def select_sequence_frames(n: int, apex: int) -> list[int]:
     return rising + [apex] + falling
 
 
-def load_manifest(path, mode: str) -> list[Sample]:
-    """Parse a manifest into Samples; ``mode`` is classification or regression."""
-    if mode not in ("classification", "regression"):
-        raise ValueError(f"mode must be classification or regression, got {mode!r}")
-    base = os.path.dirname(os.path.abspath(path))
-    samples = []
+def manifest_rows(path):
+    """(line number, stripped fields) for each line that is not blank or a comment."""
     with open(path) as f:
         for lineno, raw in enumerate(f, start=1):
             line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = [p.strip() for p in line.split(",")]
-            if len(fields) < 2 or not fields[0]:
-                raise ManifestParseError(f"{path}:{lineno}: need <image_path>,<class_name>")
-            if len(fields) > 4:
-                raise ManifestParseError(f"{path}:{lineno}: too many columns ({len(fields)})")
-            img_path = fields[0]
-            if not os.path.isabs(img_path):
-                img_path = os.path.join(base, img_path)
-            label = EmotionClass.from_name(fields[1])
+            if line and not line.startswith("#"):
+                yield lineno, [p.strip() for p in line.split(",")]
 
-            intensity = None
-            if mode == "regression":
-                if len(fields) < 3 or not fields[2]:
-                    raise MissingIntensityColumnError(
-                        f"{path}:{lineno}: regression manifest needs an intensity column")
-                try:
-                    k = float(fields[2])
-                except ValueError:
-                    raise ManifestParseError(f"{path}:{lineno}: bad intensity {fields[2]!r}") from None
-                if not 0.0 < k <= 1.0:
-                    raise ManifestParseError(f"{path}:{lineno}: intensity {k} outside (0, 1]")
-                intensity = intensity_label(label, k)
 
-            apex = None
-            if len(fields) == 4 and fields[3]:
-                try:
-                    apex = int(fields[3])
-                except ValueError:
-                    raise ManifestParseError(f"{path}:{lineno}: bad apex index {fields[3]!r}") from None
+def load_manifest(path, mode: str) -> list[Sample]:
+    """Parse a manifest into Samples; ``mode`` is one of ``MODES``."""
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    base = os.path.dirname(os.path.abspath(path))
+    samples = []
+    for lineno, fields in manifest_rows(path):
+        if len(fields) < 2 or not fields[0]:
+            raise ManifestParseError(f"{path}:{lineno}: need <image_path>,<class_name>")
+        if len(fields) > 4:
+            raise ManifestParseError(f"{path}:{lineno}: too many columns ({len(fields)})")
+        img_path = os.path.join(base, fields[0])
+        label = EmotionClass.from_name(fields[1])
 
-            samples.append(Sample(image_path=img_path, landmark_path=sidecar_path(img_path),
-                                  label=label, intensity=intensity, apex=apex))
+        intensity = None
+        if mode == "regression":
+            if len(fields) < 3 or not fields[2]:
+                raise MissingIntensityColumnError(
+                    f"{path}:{lineno}: regression manifest needs an intensity column")
+            try:
+                intensity = intensity_label(label, float(fields[2]))
+            except ValueError:
+                raise ManifestParseError(f"{path}:{lineno}: bad intensity {fields[2]!r}") from None
+            except OutOfRangeIntensityError as exc:
+                raise ManifestParseError(f"{path}:{lineno}: {exc}") from None
+
+        apex = None
+        if len(fields) == 4 and fields[3]:
+            try:
+                apex = int(fields[3])
+            except ValueError:
+                raise ManifestParseError(f"{path}:{lineno}: bad apex index {fields[3]!r}") from None
+
+        samples.append(Sample(image_path=img_path, landmark_path=sidecar_path(img_path),
+                              label=label, intensity=intensity, apex=apex))
     return samples
 
 
@@ -180,9 +183,9 @@ def load_batch_inputs(batch_samples: list[Sample]) -> Batch:
     imgs = []
     for s in batch_samples:
         img = load_pgm(s.image_path)
-        if img.shape != (128, 128):
-            raise ValueError(f"{s.image_path}: expected a 128x128 aligned face, got "
-                             f"{img.shape[1]}x{img.shape[0]} (run alignment first)")
+        if img.shape != (ALIGNED_SIZE, ALIGNED_SIZE):
+            raise ValueError(f"{s.image_path}: expected a {ALIGNED_SIZE}x{ALIGNED_SIZE} aligned "
+                             f"face, got {img.shape[1]}x{img.shape[0]} (run alignment first)")
         imgs.append(img)
     inputs = _scale_pixels(np.stack(imgs)[:, None, :, :])
     targets = np.array([s.label for s in batch_samples], dtype=np.int64)

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import loss as losses
-from .dataset import Batch, Sample, _epoch_chunks, load_batch_inputs
+from .dataset import MODES, Batch, Sample, _epoch_chunks, load_batch_inputs
 from .errors import (
     BadMagicError,
     ChecksumMismatchError,
@@ -56,7 +56,7 @@ class TrainConfig:
     max_iterations: int = 50_000
     seed: int = 0
     checkpoint_every: int = 1000
-    mode: str = "classification"   # classification | regression
+    mode: str = "classification"   # one of dataset.MODES
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -65,7 +65,7 @@ class TrainConfig:
             raise ValueError("momentum must be in [0, 1)")
         if self.batch_size < 1 or self.max_iterations < 1 or self.checkpoint_every < 1:
             raise ValueError("batch_size, max_iterations, checkpoint_every must be >= 1")
-        if self.mode not in ("classification", "regression"):
+        if self.mode not in MODES:
             raise ValueError(f"bad mode {self.mode!r}")
 
 
@@ -208,7 +208,6 @@ def train_loop(config: TrainConfig, train_set: list[Sample], val_set: list[Sampl
 _MAGIC = b"EMO1"
 _VERSION = 1
 _HEADER = struct.Struct("<IBI")  # version, mode byte, layer count
-_MODES = ("classification", "regression")  # indexed by the mode byte
 _KIND_TO_BYTE = {CONV: 0, RELU: 1, MAXPOOL: 2, FLATTEN: 3, FC: 4, DROPOUT: 5}
 _BYTE_TO_KIND = {v: k for k, v in _KIND_TO_BYTE.items()}
 # the u32 descriptor fields that follow a layer's kind byte, in file order
@@ -217,7 +216,7 @@ _DESCRIPTOR_FIELDS = {CONV: ("in_ch", "out_ch", "kh", "kw", "stride", "pad"),
 
 
 def save_model(params: ModelParams, path) -> None:
-    payload = bytearray(_HEADER.pack(_VERSION, _MODES.index(params.mode), len(params.layers)))
+    payload = bytearray(_HEADER.pack(_VERSION, MODES.index(params.mode), len(params.layers)))
     for spec in params.layers:
         fields = _DESCRIPTOR_FIELDS.get(spec.kind, ())
         payload += struct.pack(f"<B{len(fields)}I", _KIND_TO_BYTE[spec.kind],
@@ -245,7 +244,7 @@ def load_model(path) -> ModelParams:
     version, mode_byte, layer_count = _HEADER.unpack_from(payload)
     if version != _VERSION:
         raise VersionMismatchError(f"{path}: format version {version}, expected {_VERSION}")
-    if mode_byte >= len(_MODES):
+    if mode_byte >= len(MODES):
         raise ModelIoError(f"{path}: bad mode byte {mode_byte}")
 
     off = _HEADER.size
@@ -277,7 +276,7 @@ def load_model(path) -> ModelParams:
     if off != len(payload):
         raise ModelIoError(f"{path}: {len(payload) - off} unexpected trailing bytes")
     return ModelParams(layers=layers, weights=weights, biases=biases,
-                       mode=_MODES[mode_byte])
+                       mode=MODES[mode_byte])
 
 
 # --- gradient checking --------------------------------------------------------------

@@ -296,3 +296,108 @@ class TestThreadCount:
                            env=env, check=True, capture_output=True, timeout=300)
             models.append(out.read_bytes())
         assert models[0] == models[1]
+
+
+class TestAugmentSkipsBadImages:
+    def test_truncated_image_is_skipped_like_align(self, tmp_path, capsys):
+        src = tmp_path / "in"
+        dst = tmp_path / "out"
+        src.mkdir(), dst.mkdir()
+        rng = Prng(8)
+        for name in ("a", "b", "c"):
+            imaging.save_pgm(src / f"{name}.pgm", toy_pattern(0, rng))
+        whole = (src / "b.pgm").read_bytes()
+        (src / "b.pgm").write_bytes(whole[: len(whole) // 2])
+        manifest = tmp_path / "m.csv"
+        manifest.write_text("a.pgm,angry\nb.pgm,happy\nc.pgm,sad\n")
+        mout = tmp_path / "m_aug.csv"
+        assert main(["augment", str(src), "--out", str(dst),
+                     "--manifest", str(manifest), "--manifest-out", str(mout)]) == 0
+        captured = capsys.readouterr()
+        assert "augment: skipping b.pgm" in captured.err
+        assert "wrote 56 variants from 2 images" in captured.out
+        outs = os.listdir(dst)
+        assert len(outs) == 56
+        assert not any(name.startswith("b__") for name in outs)
+        rows = mout.read_text().splitlines()
+        assert len(rows) == 56
+        assert not any(",happy" in row for row in rows)
+
+
+class TestReplicatedManifestPaths:
+    def test_loads_from_another_directory(self, tmp_path, monkeypatch):
+        src = tmp_path / "in"
+        dst = tmp_path / "variants"
+        elsewhere = tmp_path / "lists" / "deep"
+        src.mkdir(), dst.mkdir(), elsewhere.mkdir(parents=True)
+        rng = Prng(9)
+        imaging.save_pgm(src / "a.pgm", toy_pattern(0, rng))
+        imaging.save_pgm(src / "b.pgm", toy_pattern(1, rng))
+        manifest = tmp_path / "m.csv"
+        manifest.write_text("a.pgm,angry\nb.pgm,happy,0.6\n")
+        # relative --out, resolved from a working directory that is neither
+        # the variants' nor the output manifest's directory
+        monkeypatch.chdir(tmp_path)
+        mout = elsewhere / "m_aug.csv"
+        assert main(["augment", "in", "--out", "variants",
+                     "--manifest", "m.csv", "--manifest-out", str(mout)]) == 0
+        samples = dataset.load_manifest(mout, "classification")
+        assert len(samples) == 56
+        assert all(os.path.exists(s.image_path) for s in samples)
+        assert {os.path.dirname(os.path.normpath(s.image_path)) for s in samples} == {str(dst)}
+
+
+class TestTrainDefaults:
+    @pytest.fixture
+    def configs(self, monkeypatch):
+        """The TrainConfig each ``train`` run builds; the run stops before training."""
+        from emotionforge.errors import EmptyDatasetError
+        built = []
+
+        def capture(config, train_set, val_set):
+            built.append(config)
+            raise EmptyDatasetError("stop before training")
+
+        monkeypatch.setattr(train, "train_loop", capture)
+        return built
+
+    def test_no_hyperparameter_flags_gives_default_config(self, tmp_path, configs):
+        man, vman = make_toy_corpus(tmp_path, n=4, n_train=2, seed=4)
+        assert main(["train", man, "--val-manifest", vman,
+                     "--out", str(tmp_path / "m.emo")]) == 2
+        assert configs == [train.TrainConfig()]
+
+    def test_flags_map_to_config_fields(self, tmp_path, configs):
+        man, vman = make_toy_corpus(tmp_path, n=4, n_train=2, seed=4, mode="regression")
+        assert main(["train", man, "--val-manifest", vman, "--out", str(tmp_path / "m.emo"),
+                     "--mode", "regression", "--seed", "3", "--lr", "0.5",
+                     "--momentum", "0.5", "--batch-size", "2", "--iterations", "7",
+                     "--checkpoint-every", "5"]) == 2
+        assert configs == [train.TrainConfig(learning_rate=0.5, momentum=0.5, batch_size=2,
+                                             max_iterations=7, seed=3, checkpoint_every=5,
+                                             mode="regression")]
+
+
+def _readme_cli_examples():
+    """Each ``emotionforge`` command of README's CLI block, as an argv list."""
+    import shlex
+    readme = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "README.md")
+    with open(readme) as f:
+        text = f.read()
+    block = text.split("## CLI", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    commands = []
+    for line in block.replace("\\\n", " ").splitlines():
+        line = line.split("|")[-1].strip()
+        if line.startswith("emotionforge "):
+            commands.append(shlex.split(line, comments=True)[1:])
+    return commands
+
+
+class TestReadmeExamples:
+    def test_every_example_parses(self):
+        examples = _readme_cli_examples()
+        assert {argv[0] for argv in examples} == {"align", "augment", "train", "eval",
+                                                  "infer", "stream"}
+        for argv in examples:
+            args = cli.build_parser().parse_args(argv)
+            assert args.func is getattr(cli, f"cmd_{argv[0]}")

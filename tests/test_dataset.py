@@ -210,3 +210,19 @@ class TestBatches:
         samples = dataset.load_manifest(man, "classification")
         with pytest.raises(ValueError, match="128x128"):
             next(dataset.batches(samples, 1, seed=0, epoch=0))
+
+
+class TestManifestRows:
+    def test_skips_blank_and_comment_lines_and_strips_fields(self, tmp_path):
+        man = tmp_path / "m.csv"
+        man.write_text("# comment\n\n a.pgm , happy ,0.5\n  \nb.pgm,sad\n")
+        assert list(dataset.manifest_rows(man)) == [(3, ["a.pgm", "happy", "0.5"]),
+                                                     (5, ["b.pgm", "sad"])]
+
+    def test_out_of_range_intensity_keeps_line_prefix(self, corpus):
+        # intensity_label owns the range; the manifest error names the line
+        tmp, paths = corpus
+        man = tmp / "m.csv"
+        man.write_text(f"{paths[0]},happy,0.5\n{paths[1]},happy,0\n")
+        with pytest.raises(ManifestParseError, match=r"m\.csv:2: intensity 0\.0 outside"):
+            dataset.load_manifest(man, "regression")

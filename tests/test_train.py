@@ -295,3 +295,11 @@ class TestBatchOrder:
         assert train_batches() == expected[:4]
         train.train_loop(cfg(6), tr, va, resume_from=half)
         assert train_batches() == expected[4:]
+
+
+class TestModeByte:
+    def test_regression_model_mode_byte_is_one(self, tmp_path):
+        # byte 8: after the magic and the u32 version
+        path = tmp_path / "r.emo"
+        train.save_model(nn.init_params(seed=3, input_hw=16, mode="regression"), path)
+        assert path.read_bytes()[8] == 1
