@@ -10,7 +10,8 @@ point ``i + 1``.
 The alignment procedure: rotate the image so the eye line is horizontal
 (pivot at the eye midpoint), move the landmarks through the same rotation,
 crop to the jaw/chin-derived rectangle whose top edge puts the eye line at
-one third of the crop height, and rescale to 128x128.
+one third of the crop height, and rescale to 128x128. The crop is found from
+the rotated landmarks first, so only its pixels are resampled.
 """
 
 from __future__ import annotations
@@ -96,9 +97,7 @@ def align_face(img: np.ndarray, lm: np.ndarray) -> AlignedFace:
     le, re = eye_centers(lm)
     angle = rotation_from_eyes(le, re)
     mid = (le + re) / 2.0
-    rotated = warp_rotate(img, -angle, (mid[0], mid[1]))
-    rotated_lm = rotate_points(lm, -angle, mid)
-    rect = crop_bounds(rotated_lm, mid)
+    rect = crop_bounds(rotate_points(lm, -angle, mid), mid)
 
     # Round outward to whole pixels (inclusive bounds), clamp to the image.
     h, w = img.shape
@@ -108,7 +107,8 @@ def align_face(img: np.ndarray, lm: np.ndarray) -> AlignedFace:
     y1 = min(math.ceil(rect.bottom), h - 1)
     if x1 < x0 or y1 < y0:
         raise EmptyCropError(f"crop {rect} lies outside the {w}x{h} image")
-    patch = rotated[y0 : y1 + 1, x0 : x1 + 1]
+    # rotate only the crop: the same bytes as slicing a full-frame warp
+    patch = warp_rotate(img, -angle, (mid[0], mid[1]), window=(x0, y0, x1, y1))
     return AlignedFace(image=resize_bilinear(patch, ALIGNED_SIZE, ALIGNED_SIZE),
                        rotation_applied=-angle, crop=rect)
 

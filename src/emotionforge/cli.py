@@ -197,8 +197,9 @@ def _load_frame(path: str, lm_path: str | None = None):
 def cmd_stream(args) -> int:
     params = train.load_model(args.model)
     frames = _stream_frames(args.source)
+    given = {"alpha": args.alpha} if "alpha" in args else {}
     count = 0
-    for record in stream.run_stream(params, frames, alpha=args.alpha, mode=args.mode):
+    for record in stream.run_stream(params, frames, mode=args.mode, **given):
         print(record.to_line(), flush=True)
         count += 1
     return EXIT_OK if count > 0 else EXIT_DATA
@@ -261,7 +262,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("stream", help="per-frame records for a directory or stdin list")
     p.add_argument("source", help="frame directory, or - to read paths from stdin")
     p.add_argument("--model", required=True)
-    p.add_argument("--alpha", type=float, default=0.3)
+    p.add_argument("--alpha", type=float, default=argparse.SUPPRESS)  # run_stream's default
     p.add_argument("--mode", choices=MODES)
     p.set_defaults(func=cmd_stream)
     return parser

@@ -140,24 +140,33 @@ def resize_bilinear(img: np.ndarray, out_w: int, out_h: int) -> np.ndarray:
     h, w = img.shape
     x0, x1, fx = _taps((np.arange(out_w) + 0.5) * (w / out_w) - 0.5, w)
     y0, y1, fy = _taps((np.arange(out_h) + 0.5) * (h / out_h) - 0.5, h)
-    fx, fy = fx[None, :], fy[:, None]
-    p = img.astype(np.float64)
-    top = p[np.ix_(y0, x0)] * (1 - fx) + p[np.ix_(y0, x1)] * fx
-    bot = p[np.ix_(y1, x0)] * (1 - fx) + p[np.ix_(y1, x1)] * fx
+    gx, fy = 1 - fx, fy[:, None]
+    row0, row1 = img[y0], img[y1]  # uint8 tap rows; the products promote exactly
+    top = row0[:, x0] * gx + row0[:, x1] * fx
+    bot = row1[:, x0] * gx + row1[:, x1] * fx
     return _to_u8(top * (1 - fy) + bot * fy)
 
 
-def warp_rotate(img: np.ndarray, angle: float, center: tuple[float, float]) -> np.ndarray:
+def warp_rotate(img: np.ndarray, angle: float, center: tuple[float, float],
+                window: tuple[int, int, int, int] | None = None) -> np.ndarray:
     """Rotate by ``angle`` (radians, image coordinates, y down) about ``center``.
 
     Output keeps the input dimensions. Each destination pixel samples the
     source at the inverse-rotated coordinate with bilinear interpolation;
     samples falling outside the source rectangle are 0.
+
+    ``window=(x0, y0, x1, y1)`` computes only the destination pixels of that
+    inclusive rectangle, so the result is the full output's
+    ``[y0 : y1 + 1, x0 : x1 + 1]`` bit for bit: the taps and the outside-is-0
+    rule still refer to the whole source frame.
     """
     h, w = img.shape
+    left, top, right, bottom = (0, 0, w - 1, h - 1) if window is None else window
     cx, cy = center
-    dx, dy = np.meshgrid(np.arange(w, dtype=np.float64) - cx,
-                         np.arange(h, dtype=np.float64) - cy)
+    # a row of column offsets and a column of row offsets; broadcasting gives
+    # each pixel the same float expression a full meshgrid would
+    dx = np.arange(left, right + 1, dtype=np.float64) - cx
+    dy = (np.arange(top, bottom + 1, dtype=np.float64) - cy)[:, None]
     ca, sa = math.cos(-angle), math.sin(-angle)
     sx = cx + ca * dx - sa * dy
     sy = cy + sa * dx + ca * dy
@@ -166,9 +175,12 @@ def warp_rotate(img: np.ndarray, angle: float, center: tuple[float, float]) -> n
     inside = (sx >= -tol) & (sx <= w - 1 + tol) & (sy >= -tol) & (sy <= h - 1 + tol)
     x0, x1, fx = _taps(sx, w)
     y0, y1, fy = _taps(sy, h)
-    p = img.astype(np.float64)
-    val = (p[y0, x0] * (1 - fx) * (1 - fy) + p[y0, x1] * fx * (1 - fy)
-           + p[y1, x0] * (1 - fx) * fy + p[y1, x1] * fx * fy)
+    gx, gy = 1 - fx, 1 - fy
+    # uint8 taps from the flat frame: each converts to float64 exactly
+    flat = img.ravel()
+    r0, r1 = y0 * w, y1 * w
+    val = (flat.take(r0 + x0) * gx * gy + flat.take(r0 + x1) * fx * gy
+           + flat.take(r1 + x0) * gx * fy + flat.take(r1 + x1) * fx * fy)
     return np.where(inside, _to_u8(val), np.uint8(0))
 
 

@@ -378,6 +378,8 @@ def backward(params: ModelParams, caches: list, dlogits: np.ndarray):
     """Gradients w.r.t. every weight and bias, given dLoss/dlogits.
 
     Returns (dweights, dbiases) shaped exactly like params.weights/biases.
+    Subnormal dlogits entries count as 0: numpy cannot set FTZ/DAZ, and once
+    the loss saturates they would slow every layer's backward several-fold.
     """
     if len(caches) != len(params.layers):
         raise StaleCacheError("cache count does not match layer count")
@@ -385,7 +387,7 @@ def backward(params: ModelParams, caches: list, dlogits: np.ndarray):
     if dlogits.ndim != 2 or dlogits.shape[1] != last_fc.out_dim:
         raise StaleCacheError(f"dlogits shape {dlogits.shape} does not match head")
     grads = []  # (dw, db) per parametric layer, last layer first
-    dx = dlogits
+    dx = np.where(np.abs(dlogits) < np.finfo(dlogits.dtype).tiny, 0, dlogits)
     walk = reversed(list(enumerate(zip(_layer_params(params), caches))))
     for i, ((spec, w, _), (_, cache)) in walk:
         if spec.parametric and cache.shape[0] != dx.shape[0]:

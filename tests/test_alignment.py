@@ -20,6 +20,47 @@ def rotate_both(img, lm, degrees, center=None):
     return imaging.warp_rotate(img, a, center), alignment.rotate_points(lm, a, center)
 
 
+def align_face_full_frame(img, lm):
+    """The align_face of before the crop window, kept as a bit-exact oracle:
+    rotate the whole frame, then slice the crop out of it."""
+    le, re = alignment.eye_centers(lm)
+    angle = alignment.rotation_from_eyes(le, re)
+    mid = (le + re) / 2.0
+    rotated = imaging.warp_rotate(img, -angle, (mid[0], mid[1]))
+    rect = alignment.crop_bounds(alignment.rotate_points(lm, -angle, mid), mid)
+    x0, y0, x1, y1 = clamped_window(img, rect)
+    if x1 < x0 or y1 < y0:
+        raise EmptyCropError(f"crop {rect} lies outside the image")
+    patch = rotated[y0 : y1 + 1, x0 : x1 + 1]
+    return alignment.AlignedFace(image=imaging.resize_bilinear(patch, 128, 128),
+                                 rotation_applied=-angle, crop=rect)
+
+
+def clamped_window(img, rect):
+    """The crop rounded outward to whole pixels, clamped to the frame (inclusive)."""
+    h, w = img.shape
+    return (max(math.floor(rect.left), 0), max(math.floor(rect.top), 0),
+            min(math.ceil(rect.right), w - 1), min(math.ceil(rect.bottom), h - 1))
+
+
+def oracle_frames():
+    """Off-centre faces rotated -30 to +30 degrees, half of them with uint8
+    noise, plus faces whose crop is clamped at each frame edge."""
+    rng = np.random.default_rng(17)
+    frames = []
+    for deg in range(-30, 31, 5):
+        img, lm = synthetic_face(cx=130 + rng.uniform(-25, 25), cy=140 + rng.uniform(-25, 25))
+        center = (rng.uniform(100, 160), rng.uniform(110, 170))
+        img, lm = rotate_both(img, lm, deg, center)
+        if deg % 10:
+            noise = rng.integers(-30, 31, img.shape)
+            img = np.clip(img.astype(int) + noise, 0, 255).astype(np.uint8)
+        frames.append((img, lm))
+    for cx, cy, deg in [(40, 140, 12), (220, 140, -9), (130, 60, 20), (130, 230, -25)]:
+        frames.append(rotate_both(*synthetic_face(cx=cx, cy=cy), deg, (cx, cy)))
+    return frames
+
+
 def interior_mad(a, b, margin=4):
     sl = slice(margin, -margin)
     return np.abs(a[sl, sl].astype(int) - b[sl, sl].astype(int)).mean()
@@ -167,6 +208,54 @@ class TestAlignFace:
         img, lm = synthetic_face()
         with pytest.raises(EmptyCropError):
             alignment.align_face(img, lm - [1000.0, 0.0])  # face far left of frame
+
+
+class TestAlignFaceCropWindow:
+    def test_bytes_equal_full_frame_oracle(self):
+        clamped = 0
+        for img, lm in oracle_frames():
+            out = alignment.align_face(img, lm)
+            ref = align_face_full_frame(img, lm)
+            assert out.image.tobytes() == ref.image.tobytes()
+            assert out.crop == ref.crop and out.rotation_applied == ref.rotation_applied
+            r, (h, w) = out.crop, img.shape
+            clamped += r.left < 0 or r.top < 0 or r.right > w - 1 or r.bottom > h - 1
+        assert clamped >= 4  # the edge faces really are clamped
+
+    def test_warps_no_more_than_the_crop(self, monkeypatch):
+        shapes = []
+        warp = alignment.warp_rotate
+
+        def record(*args, **kwargs):
+            out = warp(*args, **kwargs)
+            shapes.append(out.shape)
+            return out
+
+        monkeypatch.setattr(alignment, "warp_rotate", record)
+        for img, lm in oracle_frames():
+            shapes.clear()
+            out = alignment.align_face(img, lm)
+            x0, y0, x1, y1 = clamped_window(img, out.crop)
+            assert shapes == [(y1 - y0 + 1, x1 - x0 + 1)]
+            assert shapes[0][0] * shapes[0][1] < img.size
+
+    @pytest.mark.parametrize("error", [DegenerateFaceError, EmptyCropError])
+    def test_bad_crop_fails_before_warping(self, monkeypatch, error):
+        img, lm = synthetic_face()
+        if error is DegenerateFaceError:
+            lm = lm.copy()
+            lm[8, 1] = lm[36:48, 1].mean() - 5  # chin above the eye line
+        else:
+            lm = lm - [1000.0, 0.0]  # face far left of the frame
+        with pytest.raises(error):
+            align_face_full_frame(img, lm)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("warp_rotate called for a frame with no crop")
+
+        monkeypatch.setattr(alignment, "warp_rotate", refuse)
+        with pytest.raises(error):
+            alignment.align_face(img, lm)
 
 
 class TestSidecars:

@@ -241,6 +241,37 @@ class TestInferAndStream:
         assert "error:" in capsys.readouterr().err
 
 
+class TestStreamAlphaDefault:
+    @pytest.fixture
+    def stream_calls(self, monkeypatch):
+        """``run_stream``'s alpha default, and the keyword arguments of each
+        call that ``stream`` makes."""
+        import inspect
+        from emotionforge import stream
+        run_stream, seen = stream.run_stream, []
+
+        def record(params, frames, **kwargs):
+            seen.append(kwargs)
+            return run_stream(params, frames, **kwargs)
+
+        monkeypatch.setattr(stream, "run_stream", record)
+        return inspect.signature(run_stream).parameters["alpha"].default, seen
+
+    def test_alpha_left_to_run_stream(self, tmp_path, stream_calls, capsys):
+        default, calls = stream_calls
+        write_face_pair(tmp_path, "frame_0000")
+        write_face_pair(tmp_path, "frame_0001", face_gain=170)
+        model = tmp_path / "m.emo"
+        train.save_model(separator_model(), model)
+        assert main(["stream", str(tmp_path), "--model", str(model)]) == 0
+        without = capsys.readouterr().out.splitlines()
+        assert main(["stream", str(tmp_path), "--model", str(model),
+                     "--alpha", str(default)]) == 0
+        explicit = capsys.readouterr().out.splitlines()
+        assert calls == [{"mode": None}, {"mode": None, "alpha": default}]
+        assert [l.rsplit(",", 1)[0] for l in without] == [l.rsplit(",", 1)[0] for l in explicit]
+
+
 class TestExitCodes:
     def test_unknown_flag_is_usage_error(self, capsys):
         assert main(["align", "somewhere", "--out", "x", "--frobnicate"]) == 1

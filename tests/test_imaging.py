@@ -91,6 +91,14 @@ class TestResize:
         out = imaging.resize_bilinear(np.array([[0, 200]], dtype=np.uint8), 4, 1)
         assert out.tolist() == [[0, 50, 150, 200]]
 
+    def test_matches_bruteforce_reference(self):
+        rng = Prng(3)
+        for (h, w), (out_w, out_h) in [((41, 37), (23, 29)), ((20, 30), (64, 48)),
+                                       ((1, 7), (5, 3)), ((9, 1), (1, 9)), ((177, 142), (128, 128))]:
+            img = random_image(rng, h, w)
+            assert (imaging.resize_bilinear(img, out_w, out_h).tobytes()
+                    == reference_resize(img, out_w, out_h).tobytes())
+
     def test_output_dims(self):
         img = random_image(Prng(2), 30, 20)
         assert imaging.resize_bilinear(img, 128, 128).shape == (128, 128)
@@ -121,6 +129,26 @@ class TestBrightness:
     def test_nonpositive_factor(self):
         with pytest.raises(NonPositiveFactorError):
             imaging.adjust_brightness(np.zeros((2, 2), dtype=np.uint8), 0.0)
+
+
+def reference_resize(img, out_w, out_h):
+    """Brute-force per-pixel resize used as the oracle for resize_bilinear."""
+    h, w = img.shape
+    out = np.zeros((out_h, out_w), dtype=np.uint8)
+
+    def taps(d, n, scale):
+        s = min(max((d + 0.5) * scale - 0.5, 0.0), n - 1.0)
+        i0 = int(math.floor(s))
+        return i0, min(i0 + 1, n - 1), s - i0
+
+    for y in range(out_h):
+        y0, y1, fy = taps(y, h, h / out_h)
+        for x in range(out_w):
+            x0, x1, fx = taps(x, w, w / out_w)
+            top = img[y0, x0] * (1 - fx) + img[y0, x1] * fx
+            bot = img[y1, x0] * (1 - fx) + img[y1, x1] * fx
+            out[y, x] = min(max(int(math.floor(top * (1 - fy) + bot * fy + 0.5)), 0), 255)
+    return out
 
 
 def reference_warp(img, angle, center):
@@ -209,3 +237,47 @@ class TestBlur:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             imaging.blur(np.zeros((3, 3), dtype=np.uint8), "box")
+
+
+class TestWarpWindow:
+    """A window is the full-frame warp's slice, bit for bit."""
+
+    def check(self, img, angle, center, window):
+        x0, y0, x1, y1 = window
+        full = imaging.warp_rotate(img, angle, center)
+        part = imaging.warp_rotate(img, angle, center, window=window)
+        assert part.dtype == np.uint8
+        assert part.shape == (y1 - y0 + 1, x1 - x0 + 1)
+        assert part.tobytes() == full[y0 : y1 + 1, x0 : x1 + 1].tobytes()
+
+    def test_random_angles_centres_and_windows(self):
+        rng = np.random.default_rng(31)
+        img = rng.integers(0, 256, (47, 39)).astype(np.uint8)
+        h, w = img.shape
+        for _ in range(40):
+            angle = rng.uniform(-math.pi, math.pi)
+            center = (rng.uniform(-5, w + 5), rng.uniform(-5, h + 5))
+            x0, x1 = sorted(rng.integers(0, w, 2))
+            y0, y1 = sorted(rng.integers(0, h, 2))
+            self.check(img, angle, center, (x0, y0, x1, y1))
+
+    def test_windows_touching_each_border(self):
+        img = random_image(Prng(32), 30, 26)
+        h, w = img.shape
+        for window in [(0, 5, 10, 20), (5, 0, 20, 10), (12, 5, w - 1, 20), (5, 12, 20, h - 1),
+                       (0, 0, 3, 3), (w - 4, h - 4, w - 1, h - 1), (0, 0, w - 1, 0)]:
+            for angle in (0.4, -0.9, 2.2):
+                self.check(img, angle, (12.3, 15.8), window)
+
+    def test_single_pixel_windows(self):
+        img = random_image(Prng(33), 20, 18)
+        h, w = img.shape
+        for x, y in [(0, 0), (w - 1, 0), (0, h - 1), (w - 1, h - 1), (9, 7), (4, 15)]:
+            for angle in (0.0, 0.5, -2.7):
+                self.check(img, angle, (8.5, 9.25), (x, y, x, y))
+
+    def test_full_frame_window_equals_no_window(self):
+        img = random_image(Prng(34), 25, 31)
+        h, w = img.shape
+        for angle in (0.0, 0.7, -1.3, math.pi):
+            self.check(img, angle, (14.2, 11.9), (0, 0, w - 1, h - 1))

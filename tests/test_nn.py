@@ -486,3 +486,37 @@ class TestKernelEquivalence:
         assert same_bits(logits, ref_logits)
         for dw, db, (ref_dw, ref_db) in zip(dws, dbs, ref_grads):
             assert same_bits(dw, ref_dw) and same_bits(db, ref_db)
+
+
+class TestSubnormalFlush:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_subnormal_dlogits_count_as_zero(self, monkeypatch, dtype):
+        tiny = np.finfo(dtype).tiny
+        p = nn.init_params(seed=12, input_hw=16).astype(dtype)
+        x = rnd((3, 1, 16, 16), 51, dtype=dtype)
+        dl = rnd((3, 7), 52, dtype=dtype)
+        dl[0, :4] = np.array([tiny / 2, -tiny / 3, tiny / 1024, -tiny * 0.999], dtype=dtype)
+        dl[1, :3] = np.array([tiny, -tiny, 0.0], dtype=dtype)  # normal or zero: kept
+        dl[2, 0] = 1e-40  # subnormal in float32 only
+        assert ((dl != 0) & (np.abs(dl) < tiny)).sum() == (5 if dtype == np.float32 else 4)
+        flushed = dl.copy()
+        flushed[np.abs(flushed) < tiny] = 0
+        sent = dl.copy()
+
+        upstreams = []  # the first fc_backward call is the last fc's
+        fc_backward = nn.fc_backward
+
+        def record(a, w, upstream):
+            upstreams.append(upstream.copy())
+            return fc_backward(a, w, upstream)
+
+        monkeypatch.setattr(nn, "fc_backward", record)
+        dws, dbs = nn.backward(p, nn.forward(p, x, mode="train")[1], sent)
+        up = upstreams[0]
+        monkeypatch.undo()
+        assert same_bits(sent, dl)  # the caller's array is not touched
+        assert up.dtype == dtype and not ((up != 0) & (np.abs(up) < tiny)).any()
+        assert same_bits(up, flushed)
+        ref_dws, ref_dbs = nn.backward(p, nn.forward(p, x, mode="train")[1], flushed)
+        for g, ref in zip(dws + dbs, ref_dws + ref_dbs):
+            assert same_bits(g, ref)
