@@ -99,12 +99,6 @@ def save_pgm(path, img: np.ndarray) -> None:
 
 # --- point ops ----------------------------------------------------------------
 
-def to_grayscale(r: int, g: int, b: int) -> int:
-    """BT.601 luma of one RGB triple."""
-    y = 0.299 * r + 0.587 * g + 0.114 * b
-    return int(min(max(math.floor(y + 0.5), 0), 255))
-
-
 def rgb_to_grayscale(rgb: np.ndarray) -> np.ndarray:
     """BT.601 luma of an (h, w, 3) uint8 array."""
     y = rgb[..., 0] * 0.299 + rgb[..., 1] * 0.587 + rgb[..., 2] * 0.114

@@ -1,5 +1,9 @@
-import numpy as np
+import zlib
 
+import numpy as np
+import pytest
+
+from emotionforge.nn import init_params
 from emotionforge.rng import Prng, _splitmix64
 
 
@@ -47,3 +51,37 @@ def test_choice_without_replacement():
     picks = Prng(10).choice(1000, 50)
     assert len(picks) == 50 and len(set(picks.tolist())) == 50
     assert np.array_equal(Prng(11).choice(5, 10), np.arange(5))
+
+
+SEEDS = [0, 1, 42, 1234567, 2**63, 2**64 - 2, 2**64 - 1]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("k", [0, 1, 2, 17])
+def test_uint64_is_the_scalar_splitmix64_stream(seed, k):
+    ref = _splitmix64(seed)
+    expect = [next(ref) for _ in range(k)]
+    got = Prng(seed).uint64(k)
+    assert got.dtype == np.uint64 and got.tolist() == expect
+
+
+def test_consecutive_draws_continue_one_stream():
+    p = Prng(2**64 - 3)
+    assert np.array_equal(np.concatenate([p.uint64(3), p.uint64(4)]),
+                          Prng(2**64 - 3).uint64(7))
+    p = Prng(77)
+    assert np.array_equal(np.concatenate([p.uniform(5), p.uniform(0), p.uniform(6)]),
+                          Prng(77).uniform(11))
+    p = Prng(78)
+    assert np.array_equal(np.concatenate([p.normal(4), p.normal(6)]), Prng(78).normal(10))
+
+
+def test_recipe_golden_pins():
+    # Pinned outputs of the recipe: changing any of them changes every model byte.
+    assert Prng.derive(0, 0).uint64(4).tolist() == [
+        12035550249420947055, 12935080325729570654,
+        7141179953334974231, 12108695660851890438]
+    crc = 0
+    for w in init_params(0, input_hw=16).weights:
+        crc = zlib.crc32(w.tobytes(), crc)
+    assert crc == 0x2267A657
