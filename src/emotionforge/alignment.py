@@ -116,24 +116,17 @@ def align_face(img: np.ndarray, lm: np.ndarray) -> AlignedFace:
 # --- landmark sidecar files ----------------------------------------------------
 
 def read_landmarks(path) -> np.ndarray:
-    """Read a .lm68 sidecar: 68 lines of ``x y`` decimal floats."""
-    pts = []
+    """Read a .lm68 sidecar: 68 non-blank lines of ``x y`` finite decimal floats."""
     try:
         with open(path, encoding="utf-8") as f:
-            for line in f:
-                line = line.strip()
-                if not line:
-                    continue
-                x, y = line.split()
-                pts.append((float(x), float(y)))
-    except ValueError as exc:  # also UnicodeDecodeError
+            pts = np.array([line.split() for line in f if not line.isspace()], dtype=np.float64)
+    except ValueError as exc:  # ragged rows, a bad float, bad UTF-8
         raise MalformedLandmarksError(f"{path}: {exc}") from None
-    if len(pts) != 68:
-        raise MalformedLandmarksError(f"{path}: expected 68 landmark lines, got {len(pts)}")
-    out = np.array(pts, dtype=np.float64)
-    if not np.isfinite(out).all():
+    if pts.shape != (68, 2):
+        raise MalformedLandmarksError(f"{path}: expected 68 lines of two floats, got {pts.shape}")
+    if not np.isfinite(pts).all():
         raise MalformedLandmarksError(f"{path}: non-finite landmark coordinate")
-    return out
+    return pts
 
 
 def write_landmarks(path, lm: np.ndarray) -> None:

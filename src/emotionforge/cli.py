@@ -119,7 +119,7 @@ def _replicate_manifest(manifest_in, manifest_out, variant_paths) -> None:
     path is relative to the output manifest, as ``dataset.load_manifest`` reads it."""
     rows = list(dataset.manifest_rows(manifest_in))  # before the output file exists
     base = os.path.dirname(os.path.abspath(manifest_out))
-    with open(manifest_out, "w") as dst:
+    with open(manifest_out, "w", encoding="utf-8") as dst:
         for _, fields in rows:
             for path in variant_paths.get(_stem(fields[0]), []):
                 dst.write(",".join([os.path.relpath(path, base)] + fields[1:]) + "\n")
@@ -127,8 +127,11 @@ def _replicate_manifest(manifest_in, manifest_out, variant_paths) -> None:
 
 def cmd_train(args) -> int:
     # args holds only the hyperparameter flags given (see build_parser)
-    config = train.TrainConfig(**{k: v for k, v in vars(args).items()
-                                  if k in train.TrainConfig.__dataclass_fields__})
+    try:
+        config = train.TrainConfig(**{k: v for k, v in vars(args).items()
+                                      if k in train.TrainConfig.__dataclass_fields__})
+    except ValueError as exc:  # a flag value TrainConfig rejects
+        raise _UsageError(str(exc)) from None
     train_set = dataset.load_manifest(args.manifest, config.mode)
     val_set = dataset.load_manifest(args.val_manifest, config.mode)
     ckpt, history = train.train_loop(config, train_set, val_set)

@@ -28,6 +28,7 @@ from .errors import (
     MissingIntensityColumnError,
     OutOfRangeIntensityError,
     TooFewFramesError,
+    UnalignedImageError,
     UnknownClassNameError,
 )
 from .imaging import load_pgm
@@ -128,11 +129,14 @@ def select_sequence_frames(n: int, apex: int) -> list[int]:
 
 def manifest_rows(path):
     """(line number, stripped fields) for each line that is not blank or a comment."""
-    with open(path) as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.strip()
-            if line and not line.startswith("#"):
-                yield lineno, [p.strip() for p in line.split(",")]
+    with open(path, encoding="utf-8") as f:
+        try:
+            for lineno, raw in enumerate(f, start=1):
+                line = raw.strip()
+                if line and not line.startswith("#"):
+                    yield lineno, [p.strip() for p in line.split(",")]
+        except UnicodeDecodeError as exc:
+            raise ManifestParseError(f"{path}: not UTF-8 text: {exc}") from None
 
 
 def load_manifest(path, mode: str) -> list[Sample]:
@@ -184,15 +188,14 @@ def load_batch_inputs(batch_samples: list[Sample]) -> Batch:
     for s in batch_samples:
         img = load_pgm(s.image_path)
         if img.shape != (ALIGNED_SIZE, ALIGNED_SIZE):
-            raise ValueError(f"{s.image_path}: expected a {ALIGNED_SIZE}x{ALIGNED_SIZE} aligned "
-                             f"face, got {img.shape[1]}x{img.shape[0]} (run alignment first)")
+            raise UnalignedImageError(
+                f"{s.image_path}: expected a {ALIGNED_SIZE}x{ALIGNED_SIZE} aligned "
+                f"face, got {img.shape[1]}x{img.shape[0]} (run alignment first)")
         imgs.append(img)
     inputs = _scale_pixels(np.stack(imgs)[:, None, :, :])
     targets = np.array([s.label for s in batch_samples], dtype=np.int64)
-    if batch_samples[0].intensity is not None:
-        intensities = np.stack([s.intensity for s in batch_samples]).astype(np.float32)
-    else:
-        intensities = None
+    intensities = (np.stack([s.intensity for s in batch_samples]).astype(np.float32)
+                   if batch_samples[0].intensity is not None else None)
     return Batch(inputs=inputs, class_targets=targets, intensity_targets=intensities)
 
 

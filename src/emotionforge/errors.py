@@ -85,6 +85,10 @@ class EmptyDatasetError(EmotionForgeError):
     """No samples to iterate."""
 
 
+class UnalignedImageError(EmotionForgeError, ValueError):
+    """A dataset image is not a 128x128 aligned face."""
+
+
 # --- network and losses ---
 
 class ShapeMismatchError(EmotionForgeError):

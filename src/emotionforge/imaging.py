@@ -11,6 +11,7 @@ The only mandatory raster format is binary PGM (P5, maxval 255).
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 
@@ -36,37 +37,23 @@ def _to_u8(x: np.ndarray) -> np.ndarray:
 
 # --- PGM codec ---------------------------------------------------------------
 
-def _header_tokens(data: bytes, count: int) -> tuple[list[bytes], int]:
-    """First ``count`` whitespace-separated header tokens, skipping '#' comment
-    lines. Returns the tokens and the offset just past the final separator."""
-    tokens: list[bytes] = []
-    i = 0
-    n = len(data)
-    while len(tokens) < count:
-        while i < n and data[i : i + 1].isspace():
-            i += 1
-        if i < n and data[i] == ord("#"):
-            while i < n and data[i] != ord("\n"):
-                i += 1
-            continue
-        start = i
-        while i < n and not data[i : i + 1].isspace() and data[i] != ord("#"):
-            i += 1
-        if i == start:
-            raise MalformedHeaderError("unexpected end of header")
-        tokens.append(data[start:i])
-    if i >= n or not data[i : i + 1].isspace():
-        raise MalformedHeaderError("missing separator after maxval")
-    return tokens, i + 1  # exactly one whitespace byte ends the header
+# A P5 header is four fields, each after any run of whitespace and '#'
+# comments, then exactly one whitespace byte. A field ends at whitespace or
+# '#'; a comment ends only at '\n' or the end of the data, so backtracking
+# cannot shorten it into a field.
+_PGM_HEADER = re.compile(rb"(?:\s|#[^\n]*(?![^\n]))*([^\s#]+)(?![^\s#])" * 4 + rb"\s")
 
 
 def read_pgm(data: bytes) -> np.ndarray:
     """Decode a binary PGM (P5, maxval 255) byte sequence."""
-    tokens, payload_at = _header_tokens(data, 4)
-    if tokens[0] != b"P5":
-        raise MalformedHeaderError(f"bad magic {tokens[0]!r}")
+    header = _PGM_HEADER.match(data)
+    if header is None:
+        raise MalformedHeaderError("expected four header fields and a separator")
+    magic, *fields = header.groups()
+    if magic != b"P5":
+        raise MalformedHeaderError(f"bad magic {magic!r}")
     try:
-        width, height, maxval = (int(t) for t in tokens[1:])
+        width, height, maxval = (int(t) for t in fields)
     except ValueError:
         raise MalformedHeaderError("non-numeric header field") from None
     if width <= 0 or height <= 0:
@@ -74,7 +61,7 @@ def read_pgm(data: bytes) -> np.ndarray:
     if maxval != 255:
         raise UnsupportedMaxvalError(f"maxval {maxval}, only 255 supported")
     need = width * height
-    payload = data[payload_at : payload_at + need]
+    payload = data[header.end() : header.end() + need]
     if len(payload) < need:
         raise TruncatedPayloadError(f"payload {len(payload)} bytes, need {need}")
     return np.frombuffer(payload, dtype=np.uint8).reshape(height, width).copy()

@@ -19,6 +19,7 @@ Model file format (little-endian), magic ``EMO1``:
 
 from __future__ import annotations
 
+import itertools
 import math
 import struct
 import zlib
@@ -261,22 +262,17 @@ def load_model(path) -> ModelParams:
     except (struct.error, IndexError):
         raise ModelIoError(f"{path}: truncated layer table") from None
 
-    def tensor(shape, what):
-        nonlocal off
-        count = int(np.prod(shape))
-        if off + 4 * count > len(payload):
-            raise ModelIoError(f"{path}: truncated {what} data")
-        out = np.frombuffer(payload, dtype="<f4", count=count, offset=off)
-        off += 4 * count
-        return out.reshape(shape).astype(np.float32)
-
+    # element counts as Python ints, so a huge descriptor cannot wrap around
     shapes = [spec.weight_shape for spec in layers if spec.parametric]
-    weights = [tensor(shape, "weight") for shape in shapes]
-    biases = [tensor(shape[:1], "bias") for shape in shapes]
-    if off != len(payload):
-        raise ModelIoError(f"{path}: {len(payload) - off} unexpected trailing bytes")
-    return ModelParams(layers=layers, weights=weights, biases=biases,
-                       mode=MODES[mode_byte])
+    shapes += [shape[:1] for shape in shapes]
+    ends = [0, *itertools.accumulate(math.prod(shape) for shape in shapes)]
+    if 4 * ends[-1] != len(payload) - off:
+        raise ModelIoError(f"{path}: {len(payload) - off} bytes of tensor data, "
+                           f"layer table needs {4 * ends[-1]}")
+    flat = np.frombuffer(payload, dtype="<f4", offset=off).astype(np.float32)
+    tensors = [t.reshape(shape) for t, shape in zip(np.split(flat, ends[1:-1]), shapes)]
+    return ModelParams(layers=layers, weights=tensors[:len(shapes) // 2],
+                       biases=tensors[len(shapes) // 2:], mode=MODES[mode_byte])
 
 
 # --- gradient checking --------------------------------------------------------------

@@ -6,7 +6,28 @@ import os
 import numpy as np
 
 from emotionforge import imaging, nn
+from emotionforge.errors import EmotionForgeError
 from emotionforge.rng import Prng
+
+
+def decode_outcome(decode, *args):
+    """What a decoder makes of its input, in a form ``==`` compares: an array's
+    dtype, shape and bytes, another result as it is, or the class of the typed
+    error raised. Any other exception propagates and fails the test."""
+    try:
+        out = decode(*args)
+    except EmotionForgeError as exc:
+        return type(exc)
+    return (out.dtype.str, out.shape, out.tobytes()) if isinstance(out, np.ndarray) else out
+
+
+def overwrite(path, data: bytes) -> None:
+    """Replace an existing file's bytes in place. Reopening with truncation
+    costs ~10x more on some filesystems, which adds up over the thousands of
+    files a generated-input test writes."""
+    with open(path, "r+b") as f:
+        f.write(data)
+        f.truncate()
 
 
 def synthetic_face(w=260, h=280, cx=None, cy=None, face_w=70, face_h=90,

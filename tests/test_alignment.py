@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from emotionforge import alignment, imaging
 from emotionforge.errors import (
@@ -10,7 +12,7 @@ from emotionforge.errors import (
     EmptyCropError,
     MalformedLandmarksError,
 )
-from helpers import synthetic_face
+from helpers import decode_outcome, overwrite, synthetic_face
 
 
 def rotate_both(img, lm, degrees, center=None):
@@ -59,6 +61,36 @@ def oracle_frames():
     for cx, cy, deg in [(40, 140, 12), (220, 140, -9), (130, 60, 20), (130, 230, -25)]:
         frames.append(rotate_both(*synthetic_face(cx=cx, cy=cy), deg, (cx, cy)))
     return frames
+
+
+def read_landmarks_by_lines(path) -> np.ndarray:
+    """A line-at-a-time sidecar reader: the oracle for read_landmarks."""
+    pts = []
+    try:
+        with open(path, encoding="utf-8") as f:
+            for line in f:
+                line = line.strip()
+                if not line:
+                    continue
+                x, y = line.split()
+                pts.append((float(x), float(y)))
+    except ValueError as exc:  # also UnicodeDecodeError
+        raise MalformedLandmarksError(f"{path}: {exc}") from None
+    if len(pts) != 68:
+        raise MalformedLandmarksError(f"{path}: expected 68 landmark lines, got {len(pts)}")
+    out = np.array(pts, dtype=np.float64)
+    if not np.isfinite(out).all():
+        raise MalformedLandmarksError(f"{path}: non-finite landmark coordinate")
+    return out
+
+
+# pieces of a sidecar line: spellings float() accepts or rejects, and
+# separators, among them Unicode whitespace, line breaks and bytes that are
+# not UTF-8
+LM_PIECES = [b"1.5", b"-2", b"1e3", b"1_0", b"nan", b"-inf", b"abc", b"0x1", "\u0661".encode(),
+             b"1,5", b"\x00", b" ", b" ", b"\t", "\u00a0".encode(), "\u2028".encode(), b"\x1c",
+             b"\n", b"\n", b"\r", b"\r\n", b"\xff", b"\xc3"]
+LM_GOOD_LINE = b"12.5 40.25\n"
 
 
 def interior_mad(a, b, margin=4):
@@ -275,6 +307,25 @@ class TestSidecars:
         assert alignment.sidecar_path("/data/img01.pgm") == "/data/img01.lm68"
         assert alignment.sidecar_path("clip.tar.pgm") == "clip.tar.lm68"
         assert alignment.sidecar_path("/a.b/noext") == "/a.b/noext.lm68"
+
+
+class TestSidecarGrammar:
+    """read_landmarks gives the array or the error class of the line-at-a-time
+    oracle, and never raises an untyped error."""
+
+    @settings(max_examples=360)
+    @given(st.binary(max_size=12), st.integers(0, 70))
+    @example(b"", 0)
+    @example(bytes([0, 11, 1]), 5)  # one more valid line
+    def test_agrees_with_line_reader(self, input_file, picks, at):
+        lines = b"".join(LM_PIECES[i % len(LM_PIECES)] for i in picks)
+        for n_good in range(64, 71):  # the generated text among n_good valid lines
+            k = min(at, n_good)
+            for data in (LM_GOOD_LINE * k + lines + b"\n" + LM_GOOD_LINE * (n_good - k),
+                         LM_GOOD_LINE * n_good + lines):
+                overwrite(input_file, data)
+                assert (decode_outcome(alignment.read_landmarks, input_file)
+                        == decode_outcome(read_landmarks_by_lines, input_file)), data
 
 
 class TestMalformedSidecars:

@@ -279,6 +279,20 @@ class TestExitCodes:
     def test_unknown_subcommand_is_usage_error(self):
         assert main(["transmogrify"]) == 1
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--lr", "-1", "learning_rate must be positive"),
+        ("--momentum", "1", "momentum must be in"),
+        ("--batch-size", "0", "batch_size, max_iterations, checkpoint_every must be >= 1"),
+        ("--iterations", "0", "batch_size, max_iterations, checkpoint_every must be >= 1"),
+    ])
+    def test_rejected_training_flag_is_usage_error(self, tmp_path, capsys, flag, value, message):
+        # the config is checked before any manifest is read
+        rc = main(["train", str(tmp_path / "m.csv"), "--val-manifest", str(tmp_path / "v.csv"),
+                   "--out", str(tmp_path / "m.emo"), flag, value])
+        assert rc == 1
+        assert f"usage error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "m.emo").exists()
+
     def test_missing_input_is_data_error(self, tmp_path):
         assert main(["eval", str(tmp_path / "nope.csv"),
                      "--model", str(tmp_path / "nope.emo")]) == 2

@@ -2,6 +2,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emotionforge import dataset, imaging
 from emotionforge.dataset import EmotionClass
@@ -12,9 +14,18 @@ from emotionforge.errors import (
     MissingIntensityColumnError,
     OutOfRangeIntensityError,
     TooFewFramesError,
+    UnalignedImageError,
     UnknownClassNameError,
 )
 from emotionforge.rng import Prng
+from helpers import decode_outcome, overwrite
+
+# pieces of manifest text: paths, class names in and out of the list,
+# intensities and apex indices in and out of range, separators, comments,
+# line breaks and bytes that are not UTF-8
+MANIFEST_PIECES = [b"a.pgm", b"d/b.pgm", b"happy", b"NEUTRAL", b"joy", b"0.5", b"1", b"0",
+                   b"1.5", b"nan", b"-3", b"x", b"9" * 5000, b",", b",", b",", b" ", b"\t",
+                   b"\n", b"\n", b"\r\n", b"#", b"\x00", b"\xff", "\u00e9".encode()]
 
 
 class TestEmotionClass:
@@ -211,6 +222,14 @@ class TestBatches:
         with pytest.raises(ValueError, match="128x128"):
             next(dataset.batches(samples, 1, seed=0, epoch=0))
 
+    def test_unaligned_image_is_a_typed_error(self, corpus):
+        tmp, _ = corpus
+        imaging.save_pgm(tmp / "wide.pgm", np.zeros((128, 129), dtype=np.uint8))
+        sample = dataset.Sample(str(tmp / "wide.pgm"), str(tmp / "wide.lm68"),
+                                EmotionClass.HAPPY)
+        with pytest.raises(UnalignedImageError, match="129x128"):
+            dataset.load_batch_inputs([sample])
+
 
 class TestManifestRows:
     def test_skips_blank_and_comment_lines_and_strips_fields(self, tmp_path):
@@ -218,6 +237,19 @@ class TestManifestRows:
         man.write_text("# comment\n\n a.pgm , happy ,0.5\n  \nb.pgm,sad\n")
         assert list(dataset.manifest_rows(man)) == [(3, ["a.pgm", "happy", "0.5"]),
                                                      (5, ["b.pgm", "sad"])]
+
+    def test_non_utf8_manifest_is_a_parse_error_naming_the_file(self, tmp_path):
+        man = tmp_path / "m.csv"
+        man.write_bytes(b"a.pgm,happy\nb\xff.pgm,sad\n")
+        with pytest.raises(ManifestParseError, match=r"m\.csv"):
+            dataset.load_manifest(man, "classification")
+
+    @settings(max_examples=300)
+    @given(st.binary(max_size=24))
+    def test_any_text_loads_or_raises_a_typed_error(self, input_file, picks):
+        overwrite(input_file, b"".join(MANIFEST_PIECES[i % len(MANIFEST_PIECES)] for i in picks))
+        for mode in dataset.MODES:
+            decode_outcome(dataset.load_manifest, input_file, mode)
 
     def test_out_of_range_intensity_keeps_line_prefix(self, corpus):
         # intensity_label owns the range; the manifest error names the line

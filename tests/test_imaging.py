@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from emotionforge import imaging
 from emotionforge.errors import (
@@ -12,6 +14,7 @@ from emotionforge.errors import (
     ZeroDimensionError,
 )
 from emotionforge.rng import Prng
+from helpers import decode_outcome
 
 
 def to_grayscale(r: int, g: int, b: int) -> int:
@@ -22,6 +25,63 @@ def to_grayscale(r: int, g: int, b: int) -> int:
 
 def random_image(rng, h, w):
     return (rng.uniform(h * w).reshape(h, w) * 256).astype(np.uint8)
+
+
+def header_tokens(data: bytes, count: int) -> tuple[list[bytes], int]:
+    """First ``count`` whitespace-separated header tokens, skipping '#' comment
+    lines, and the offset just past the final separator: a byte-at-a-time
+    tokenizer, the oracle for read_pgm's header grammar."""
+    tokens: list[bytes] = []
+    i = 0
+    n = len(data)
+    while len(tokens) < count:
+        while i < n and data[i : i + 1].isspace():
+            i += 1
+        if i < n and data[i] == ord("#"):
+            while i < n and data[i] != ord("\n"):
+                i += 1
+            continue
+        start = i
+        while i < n and not data[i : i + 1].isspace() and data[i] != ord("#"):
+            i += 1
+        if i == start:
+            raise MalformedHeaderError("unexpected end of header")
+        tokens.append(data[start:i])
+    if i >= n or not data[i : i + 1].isspace():
+        raise MalformedHeaderError("missing separator after maxval")
+    return tokens, i + 1  # exactly one whitespace byte ends the header
+
+
+def read_pgm_by_tokens(data: bytes) -> np.ndarray:
+    """read_pgm on top of ``header_tokens``, with the same field checks."""
+    tokens, payload_at = header_tokens(data, 4)
+    if tokens[0] != b"P5":
+        raise MalformedHeaderError(f"bad magic {tokens[0]!r}")
+    try:
+        width, height, maxval = (int(t) for t in tokens[1:])
+    except ValueError:
+        raise MalformedHeaderError("non-numeric header field") from None
+    if width <= 0 or height <= 0:
+        raise MalformedHeaderError(f"bad dimensions {width}x{height}")
+    if maxval != 255:
+        raise UnsupportedMaxvalError(f"maxval {maxval}, only 255 supported")
+    need = width * height
+    payload = data[payload_at : payload_at + need]
+    if len(payload) < need:
+        raise TruncatedPayloadError(f"payload {len(payload)} bytes, need {need}")
+    return np.frombuffer(payload, dtype=np.uint8).reshape(height, width).copy()
+
+
+# header pieces that exercise each rule of the grammar: every whitespace byte,
+# comments, fields glued to '#', signs, underscores, bad magic and maxval
+PGM_PIECES = [b"P5", b"P5", b"P2", b"P55", b"2", b"3", b"1", b"0", b"-2", b"+2", b"1_0",
+              b"255", b"255", b"+255", b"256", b"x", b" ", b" ", b"\t", b"\n", b"\n",
+              b"\r", b"\x0b", b"\x0c", b"#", b"# note", b"\x00", b"\xff", b"\x85"]
+# one drawn byte picks one piece: a byte string is much cheaper to draw than a list
+pgm_headers = st.one_of(
+    st.binary(max_size=20).map(lambda picks: b"".join(PGM_PIECES[i % len(PGM_PIECES)]
+                                                      for i in picks)),
+    st.binary(max_size=32))
 
 
 class TestPgm:
@@ -59,12 +119,44 @@ class TestPgm:
             back = imaging.read_pgm(imaging.write_pgm(img))
             assert (back == img).all() and back.shape == img.shape
 
+    def test_comment_glued_to_a_field_does_not_end_the_header(self):
+        # the comment runs to the end of the data, so there is no maxval field;
+        # a comment that backtracked would leave "5" as a maxval
+        with pytest.raises(MalformedHeaderError):
+            imaging.read_pgm(b"P5 2 2#255 " + bytes(4))
+        data = b"P5 2 2#255 \n255 " + bytes(4)
+        assert imaging.read_pgm(data).shape == (2, 2)
+
+    def test_long_adversarial_headers_are_rejected(self):
+        for data in (b" " * 200_000, b"#" * 200_000, b"P5 " + b"1" * 200_000,
+                     b"# \n" * 70_000, b"P5 2 2 255#" * 20_000):
+            with pytest.raises(MalformedHeaderError):
+                imaging.read_pgm(data)
+
     def test_aligned_face_payload_size(self):
         img = np.zeros((128, 128), dtype=np.uint8)
         data = imaging.write_pgm(img)
         header = b"P5\n128 128\n255\n"
         assert data.startswith(header)
         assert len(data) - len(header) == 16384
+
+
+class TestPgmHeaderGrammar:
+    """read_pgm gives the bytes or the error class of the tokenizer oracle,
+    and never raises an untyped error."""
+
+    @settings(max_examples=450)
+    @given(pgm_headers, st.binary(max_size=12))
+    @example(b"P5 2 2#255 ", bytes(4))
+    @example(b"P5\n# c\n2 2\n255\n", bytes(4))
+    def test_agrees_with_tokenizer_on_every_cut_and_edit(self, header, payload):
+        data = header + payload
+        variants = [data[:end] for end in range(len(data) + 1)]  # every truncation
+        for i in range(len(data)):  # delete each byte, or make it a separator or '#'
+            variants += [data[:i] + edit + data[i + 1:] for edit in (b"", b" ", b"#")]
+        for variant in variants:
+            assert (decode_outcome(imaging.read_pgm, variant)
+                    == decode_outcome(read_pgm_by_tokens, variant)), variant
 
 
 class TestGrayscale:

@@ -1,5 +1,11 @@
+import math
+import struct
+import zlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emotionforge import dataset, nn, train
 from emotionforge.errors import (
@@ -12,12 +18,109 @@ from emotionforge.errors import (
     VersionMismatchError,
 )
 from emotionforge.rng import Prng
-from helpers import make_toy_corpus
+from helpers import decode_outcome, make_toy_corpus, overwrite
 
 
 def params_equal(a, b):
     return (all(np.array_equal(x, y) for x, y in zip(a.weights, b.weights))
             and all(np.array_equal(x, y) for x, y in zip(a.biases, b.biases)))
+
+
+def load_model_per_tensor(path) -> nn.ModelParams:
+    """An EMO1 reader that sizes and reads one tensor at a time with
+    ``np.prod``: the oracle for load_model."""
+    with open(path, "rb") as f:
+        blob = f.read()
+    if blob[:4] != train._MAGIC:
+        raise BadMagicError(f"{path}: not an EMO1 model file")
+    if len(blob) < 4 + train._HEADER.size + 4:
+        raise ModelIoError(f"{path}: truncated header")
+    payload, trailer = blob[4:-4], blob[-4:]
+    if zlib.crc32(payload) != struct.unpack("<I", trailer)[0]:
+        raise ChecksumMismatchError(f"{path}: CRC-32 mismatch")
+    version, mode_byte, layer_count = train._HEADER.unpack_from(payload)
+    if version != train._VERSION:
+        raise VersionMismatchError(f"{path}: format version {version}")
+    if mode_byte >= len(dataset.MODES):
+        raise ModelIoError(f"{path}: bad mode byte {mode_byte}")
+    off = train._HEADER.size
+    layers = []
+    try:
+        for _ in range(layer_count):
+            kind = train._BYTE_TO_KIND.get(payload[off])
+            if kind is None:
+                raise ModelIoError(f"{path}: unknown layer kind byte {payload[off]}")
+            fields = train._DESCRIPTOR_FIELDS.get(kind, ())
+            values = struct.unpack_from(f"<{len(fields)}I", payload, off + 1)
+            off += 1 + 4 * len(fields)
+            layers.append(nn.LayerSpec(kind, **dict(zip(fields, values))))
+    except (struct.error, IndexError):
+        raise ModelIoError(f"{path}: truncated layer table") from None
+
+    def tensor(shape):
+        nonlocal off
+        count = int(np.prod(shape))
+        if off + 4 * count > len(payload):
+            raise ModelIoError(f"{path}: truncated tensor data")
+        out = np.frombuffer(payload, dtype="<f4", count=count, offset=off)
+        off += 4 * count
+        return out.reshape(shape).astype(np.float32)
+
+    shapes = [spec.weight_shape for spec in layers if spec.parametric]
+    weights = [tensor(shape) for shape in shapes]
+    biases = [tensor(shape[:1]) for shape in shapes]
+    if off != len(payload):
+        raise ModelIoError(f"{path}: {len(payload) - off} unexpected trailing bytes")
+    return nn.ModelParams(layers=layers, weights=weights, biases=biases,
+                          mode=dataset.MODES[mode_byte])
+
+
+def model_outcome(load, path):
+    """``decode_outcome`` of a model reader, with the model as comparable bytes."""
+    def fingerprint(path):
+        p = load(path)
+        return p.mode, p.layers, [(t.dtype.str, t.shape, t.tobytes())
+                                  for t in p.weights + p.biases]
+    return decode_outcome(fingerprint, path)
+
+
+def signed_model(payload: bytes) -> bytes:
+    """An EMO1 file around ``payload``, with a valid CRC-32 trailer."""
+    return b"EMO1" + payload + struct.pack("<I", zlib.crc32(payload))
+
+
+# descriptor fields: small sizes that decode, and sizes whose element count
+# overflows int64 or exceeds any file
+FIELD_VALUES = [0, 1, 1, 2, 2, 3, 3, 65535, 65536, 2**31, 2**32 - 1]
+
+
+def emo1_payload(layer_picks: bytes, picks: bytes) -> tuple[bytes, int]:
+    """An EMO1 payload made from drawn bytes, and a cut position in it.
+
+    Each 7 bytes of ``layer_picks`` give a kind byte (0-5 known, 6 unknown)
+    and its descriptor fields; a short last group leaves the table truncated.
+    ``picks`` choose the version, the mode byte, a layer count off by -1..1,
+    tensor data a few bytes off the size the table asks for, and the cut.
+    """
+    version, mode, count_delta, size_delta, cut = picks
+    rows = [layer_picks[i : i + 7] for i in range(0, len(layer_picks), 7)]
+    payload = struct.pack("<IBI", 1 if version < 240 else 2, (0, 1, 0, 1, 2)[mode % 5],
+                          (len(rows) + (0, 0, 0, -1, 1)[count_delta % 5]) % 2**32)
+    need = 0
+    for kind_byte, *field_picks in rows:
+        kind = train._BYTE_TO_KIND.get(kind_byte % 7)
+        names = train._DESCRIPTOR_FIELDS.get(kind, ())
+        fields = [FIELD_VALUES[p % len(FIELD_VALUES)] for p in field_picks][:len(names)]
+        payload += struct.pack(f"<B{len(fields)}I", kind_byte % 7, *fields)
+        if names and len(fields) == len(names):
+            shape = nn.LayerSpec(kind, **dict(zip(names, fields))).weight_shape
+            need += math.prod(shape) + shape[0]
+    size = max(0, (4 * need if need < 512 else 8) + (-4, -1, 0, 0, 0, 1, 4)[size_delta % 7])
+    payload += bytes((37 * i + 11) % 256 for i in range(size))
+    return payload, cut * len(payload) // 255
+
+
+emo1_payloads = st.builds(emo1_payload, st.binary(max_size=28), st.binary(min_size=5, max_size=5))
 
 
 @pytest.fixture(scope="module")
@@ -210,6 +313,36 @@ class TestModelFiles:
         path.write_bytes(b"EMO1" + payload + struct.pack("<I", zlib.crc32(payload)))
         with pytest.raises(ModelIoError, match="truncated layer table"):
             train.load_model(path)
+
+
+class TestModelFileGrammar:
+    @pytest.mark.parametrize("conv, floats", [
+        # 65536**4 wraps to 0 in int64, so the 65536 bias floats are all the
+        # data a wrapped count would ask for
+        ((65536, 65536, 65536, 65536, 1, 0), 65536),
+        ((3, 5, 2**32 - 1, 2**32 - 1, 1, 0), 0),
+    ])
+    def test_overflowing_layer_sizes_are_a_model_io_error(self, tmp_path, conv, floats):
+        path = tmp_path / "m.emo"
+        path.write_bytes(signed_model(struct.pack("<IBI", 1, 0, 1)
+                                      + struct.pack("<B6I", 0, *conv) + bytes(4 * floats)))
+        with pytest.raises(ModelIoError):
+            train.load_model(path)
+
+    @settings(max_examples=300)
+    @given(emo1_payloads)
+    def test_agrees_with_per_tensor_reader(self, input_file, payload_and_cut):
+        """The same model bytes or error class as the per-tensor oracle, except
+        that sizes the oracle's int64 count wraps on are a ModelIoError, not
+        the oracle's bare ValueError."""
+        payload, cut = payload_and_cut
+        for data in (payload, payload[:cut]):
+            overwrite(input_file, signed_model(data))
+            try:
+                expected = model_outcome(load_model_per_tensor, input_file)
+            except ValueError:
+                expected = ModelIoError
+            assert model_outcome(train.load_model, input_file) == expected, data
 
 
 class TestGradientCheck:
