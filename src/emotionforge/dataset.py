@@ -179,7 +179,7 @@ def load_manifest(path, mode: str) -> list[Sample]:
 
 def _scale_pixels(pixels: np.ndarray) -> np.ndarray:
     """uint8 pixels as the network's float32 inputs in [0, 1]."""
-    return (pixels / np.float32(255.0)).astype(np.float32)
+    return (pixels / np.float32(255.0)).astype(np.float32, copy=False)
 
 
 def load_batch_inputs(batch_samples: list[Sample]) -> Batch:

@@ -220,7 +220,8 @@ def _pool_views(x: np.ndarray) -> tuple[np.ndarray, ...]:
     return x[:, :, 0::2, 0::2], x[:, :, 0::2, 1::2], x[:, :, 1::2, 0::2], x[:, :, 1::2, 1::2]
 
 
-def maxpool_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def maxpool_forward(x: np.ndarray,
+                    argmax: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
     """2x2 stride-2 max pooling; returns (output, int8 argmax per window).
 
     The windows are read as four strided views of ``x``; nothing is copied
@@ -228,7 +229,9 @@ def maxpool_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     the argmax is built from strict ``>`` compares, so a tie goes to the
     earliest position, as ``np.argmax`` would pick it. The output is an
     ``np.maximum`` tree, which carries a NaN at any position through to the
-    logits.
+    logits. Without ``argmax`` (inference, where no backward reads it) the
+    argmax is not built and comes back as None; the output is the same tree
+    and has the same bytes.
     """
     _, _, h, w = x.shape
     if h % 2 or w % 2:
@@ -237,7 +240,8 @@ def maxpool_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # np.maximum keeps its second operand on a tie, so the earlier position
     # goes second: the output is then the argmax element, down to a zero's sign
     top, bottom = np.maximum(b, a), np.maximum(d, c)
-    idx = np.where(bottom > top, (d > c).view(np.int8) + np.int8(2), (b > a).view(np.int8))
+    idx = (np.where(bottom > top, (d > c).view(np.int8) + np.int8(2), (b > a).view(np.int8))
+           if argmax else None)
     return np.maximum(bottom, top), idx
 
 
@@ -307,8 +311,8 @@ def _forward_walk(params: ModelParams, x: np.ndarray, rng: Prng | None = None,
     Dropout fires when ``rng`` is given. With ``frozen`` (the caches of an
     earlier train-mode pass), ReLU masks and maxpool argmax are taken from it
     instead of from ``x``. Without ``keep`` no cache is built, so each
-    activation is freed as soon as the next layer has read it, and caches is
-    None.
+    activation is freed as soon as the next layer has read it, no maxpool
+    argmax is computed, and caches is None.
     """
     caches = [] if keep else None
     for i, (spec, w, b) in enumerate(_layer_params(params)):
@@ -320,7 +324,7 @@ def _forward_walk(params: ModelParams, x: np.ndarray, rng: Prng | None = None,
             x = relu_forward(x) if routing is None else x * (routing > 0)
         elif spec.kind == MAXPOOL:
             if routing is None:
-                x, idx = maxpool_forward(x)
+                x, idx = maxpool_forward(x, argmax=keep)
             else:
                 idx = routing[1]
                 x = np.choose(idx, _pool_views(x))

@@ -35,14 +35,6 @@ def _mix64(z):
     return z ^ (z >> 31)
 
 
-def _splitmix64(state: int):
-    """Infinite scalar splitmix64 stream starting at ``state`` (the reference
-    that ``Prng`` reproduces)."""
-    while True:
-        state = (state + _GOLDEN) & _MASK
-        yield _mix64(state)
-
-
 class Prng:
     """Counter-based splitmix64 stream with state ``(key, count)``."""
 

@@ -308,6 +308,24 @@ class TestForwardBackward:
         assert np.array_equal(logits, train_logits)
         assert infer_held < 0.25 * train_held  # equal while infer kept caches
 
+    def test_only_train_pools_build_an_argmax(self, monkeypatch):
+        p = nn.init_params(seed=3, input_hw=16)
+        x = rnd((2, 1, 16, 16), 29, dtype=np.float32)
+        asked = []
+        pool = nn.maxpool_forward
+
+        def record(a, argmax=True):
+            asked.append(argmax)
+            return pool(a, argmax)
+
+        monkeypatch.setattr(nn, "maxpool_forward", record)
+        logits = nn.forward(p, x, mode="infer")
+        assert asked == [False] * 3
+        asked.clear()
+        train_logits, _ = nn.forward(p, x, mode="train")
+        assert asked == [True] * 3
+        assert same_bits(logits, train_logits)
+
     def test_non_finite_raises(self):
         p = nn.init_params(seed=7, input_hw=16)
         x = np.full((1, 1, 16, 16), np.nan, dtype=np.float32)
@@ -422,6 +440,20 @@ class TestKernelEquivalence:
         up = rnd(out.shape, 41, dtype=dtype)
         assert same_bits(nn.maxpool_backward(x.shape, idx, up),
                          ref_maxpool_backward(x.shape, ref_idx, up))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_maxpool_without_argmax_has_the_same_bytes(self, dtype):
+        x = rnd((2, 4, 8, 8), 47, dtype=dtype)  # pre-ReLU: about half negative
+        x[0, 0, 0:2, 0:2] = [[-0.0, 0.0], [-1.0, -2.0]]  # signed zeros tie in a row
+        x[0, 1, 0:2, 0:2] = [[0.0, -0.0], [-1.0, -2.0]]
+        x[0, 2, 0:2, 0:2] = [[-1.0, -2.0], [-0.0, 0.0]]
+        x[0, 3, 0:2, 0:2] = [[-3.0, 0.0], [-0.0, -2.0]]  # and across the rows
+        for pos in range(4):
+            x[1, pos, 2 + pos // 2, 2 + pos % 2] = np.nan
+        out, idx = nn.maxpool_forward(x, argmax=False)
+        assert idx is None
+        assert same_bits(out, nn.maxpool_forward(x)[0])
+        assert np.isnan(out[1, :, 1, 1]).all()
 
     @pytest.mark.parametrize("pos", [0, 1, 2, 3])
     def test_nan_at_any_window_position_reaches_the_logits(self, pos):

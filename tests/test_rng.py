@@ -4,7 +4,18 @@ import numpy as np
 import pytest
 
 from emotionforge.nn import init_params
-from emotionforge.rng import Prng, _splitmix64
+from emotionforge.rng import Prng
+
+
+def _splitmix64(state: int):
+    """Infinite scalar splitmix64 stream starting at ``state``, one Python int
+    at a time: the oracle that ``Prng`` reproduces."""
+    mask = 2**64 - 1
+    while True:
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = (state ^ (state >> 30)) * 0xBF58476D1CE4E5B9 & mask
+        z = (z ^ (z >> 27)) * 0x94D049BB133111EB & mask
+        yield z ^ (z >> 31)
 
 
 def test_splitmix64_reference_vector():
