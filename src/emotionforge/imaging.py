@@ -10,7 +10,9 @@ The only mandatory raster format is binary PGM (P5, maxval 255).
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 import re
 
 import numpy as np
@@ -79,8 +81,29 @@ def load_pgm(path) -> np.ndarray:
         return read_pgm(f.read())
 
 
+@contextlib.contextmanager
+def atomic_write(path):
+    """A binary file whose bytes replace ``path`` only when the block ends
+    cleanly, so a reader never sees a partial file.
+
+    They go to ``.<name>.<pid>.tmp`` in the same directory (which no
+    ``*.pgm`` glob matches) and then ``os.replace`` it onto ``path``. If the
+    block raises, the temporary file is removed and ``path`` is untouched.
+    """
+    head, name = os.path.split(os.fspath(path))
+    tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def save_pgm(path, img: np.ndarray) -> None:
-    with open(path, "wb") as f:
+    with atomic_write(path) as f:
         f.write(write_pgm(img))
 
 

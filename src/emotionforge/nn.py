@@ -140,6 +140,30 @@ def init_params(seed: int, input_hw: int = 128, mode: str = "classification") ->
 
 # --- layer primitives ----------------------------------------------------------
 
+# A per-sample kernel walks the batch in chunks of about this many bytes of
+# per-sample work (0.1-1.1 MiB per sample at EMO-NET's shapes), so that each
+# chunk's copies and temporaries stay in a core's L2 cache instead of
+# streaming a 9-75 MB batch tensor through memory several times.
+_CHUNK_BYTES = 1 << 20
+
+
+def _chunks(n: int, sample_bytes: int) -> list[slice]:
+    """Slices of a batch of ``n`` covering ~``_CHUNK_BYTES`` each, at least one sample."""
+    step = max(1, _CHUNK_BYTES // sample_bytes)
+    return [slice(i, i + step) for i in range(0, n, step)]
+
+
+def _pad(x: np.ndarray, pad: int) -> np.ndarray:
+    """``x`` with ``pad`` zeros around each spatial side: np.pad's bytes, at a
+    fraction of its per-call cost."""
+    if not pad:
+        return x
+    n, c, h, w = x.shape
+    xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
+    xp[:, :, pad : pad + h, pad : pad + w] = x
+    return xp
+
+
 def _patch_windows(xp: np.ndarray, kh: int, kw: int, stride: int, ho: int, wo: int) -> np.ndarray:
     """(N, C, kh, kw, ho, wo) strided view of the patches of a padded input."""
     sn, sc, sh, sw = xp.strides
@@ -155,7 +179,13 @@ def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, ho: int, wo: int) -> 
 
 def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray,
                    stride: int, pad: int) -> np.ndarray:
-    """Cross-correlation plus bias; zero padding."""
+    """Cross-correlation plus bias; zero padding.
+
+    The batch is walked in cache-sized chunks: each chunk is padded, copied
+    into a patch matrix, multiplied and biased while it is still in cache.
+    A stacked ``np.matmul`` is one GEMM per sample, so the chunking changes
+    no bit.
+    """
     n, c, h, wd = x.shape
     k, cw, kh, kw = w.shape
     if c != cw:
@@ -163,10 +193,11 @@ def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray,
     ho, wo = conv_out_hw(h, wd, LayerSpec(CONV, kh=kh, kw=kw, stride=stride, pad=pad))
     if ho < 1 or wo < 1:
         raise ShapeMismatchError(f"kernel {kh}x{kw} does not fit {h}x{wd} input")
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
-    cols = _im2col(xp, kh, kw, stride, ho, wo)
-    y = np.matmul(w.reshape(k, -1), cols)          # (N, K, ho*wo)
-    y += b.reshape(1, k, 1)
+    w2 = w.reshape(k, -1)
+    y = np.empty((n, k, ho * wo), dtype=np.result_type(w, x))
+    for sl in _chunks(n, w2.shape[1] * ho * wo * x.itemsize):
+        np.matmul(w2, _im2col(_pad(x[sl], pad), kh, kw, stride, ho, wo), out=y[sl])
+        y[sl] += b.reshape(1, k, 1)
     return y.reshape(n, k, ho, wo)
 
 
@@ -175,33 +206,38 @@ def conv2d_backward(x: np.ndarray, w: np.ndarray, upstream: np.ndarray,
                     input_grad: bool = True) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients (dx, dw, db) of conv2d_forward.
 
-    Without ``input_grad`` dx is not computed and comes back empty. The
-    patches are copied once, as a (C*kh*kw, N*ho*wo) matrix, so ``dw`` is one
-    GEMM over the whole batch: the product ``np.tensordot`` would form, less
-    its second copy of the patches.
+    Without ``input_grad`` dx is not computed and comes back empty. ``dw`` is
+    one GEMM over the whole batch, against the patches copied once as a
+    (C*kh*kw, N*ho*wo) matrix: the product ``np.tensordot`` would form, less
+    its second copy of the patches. Splitting that GEMM's inner dimension
+    would change its bits. dx is per sample, so it walks the batch in
+    cache-sized chunks: each chunk's patch gradients are one stacked GEMM,
+    then summed into the padded input gradient tap by tap, in the same
+    (i, j) order for every chunk.
     """
     n, c, h, wd = x.shape
     k, _, kh, kw = w.shape
     _, ku, ho, wo = upstream.shape
     if ku != k or upstream.shape[0] != n:
         raise ShapeMismatchError("upstream shape does not match forward output")
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
+    xp = _pad(x, pad)
     cols = _patch_windows(xp, kh, kw, stride, ho, wo).transpose(1, 2, 3, 0, 4, 5)
     cols = cols.reshape(c * kh * kw, n * ho * wo)
     dw = (upstream.transpose(1, 0, 2, 3).reshape(k, n * ho * wo) @ cols.T).reshape(w.shape)
     db = upstream.sum(axis=(0, 2, 3))
     if not input_grad:
         return np.empty(0, dtype=x.dtype), dw, db
-    del cols  # free the patch copy before dcols takes as much again
+    del cols  # free the batch-sized patch copy before dx is built
     up = upstream.reshape(n, k, ho * wo)
-    dcols = np.matmul(w.reshape(k, -1).T, up)      # (N, C*kh*kw, ho*wo)
-    dcols = dcols.reshape(n, c, kh, kw, ho, wo)
-
+    w2t = w.reshape(k, -1).T
     dxp = np.zeros_like(xp)
-    for i in range(kh):
-        for j in range(kw):
-            dxp[:, :, i : i + stride * ho : stride,
-                j : j + stride * wo : stride] += dcols[:, :, i, j]
+    for sl in _chunks(n, w2t.shape[0] * ho * wo * upstream.itemsize):
+        dcols = np.matmul(w2t, up[sl]).reshape(-1, c, kh, kw, ho, wo)
+        dxs = dxp[sl]
+        for i in range(kh):
+            for j in range(kw):
+                dxs[:, :, i : i + stride * ho : stride,
+                    j : j + stride * wo : stride] += dcols[:, :, i, j]
     if pad:
         return dxp[:, :, pad : pad + h, pad : pad + wd], dw, db
     return dxp, dw, db
@@ -231,18 +267,25 @@ def maxpool_forward(x: np.ndarray,
     ``np.maximum`` tree, which carries a NaN at any position through to the
     logits. Without ``argmax`` (inference, where no backward reads it) the
     argmax is not built and comes back as None; the output is the same tree
-    and has the same bytes.
+    and has the same bytes. Every window is independent, so the batch is
+    walked in cache-sized chunks that write into the preallocated output and
+    argmax.
     """
-    _, _, h, w = x.shape
+    n, ch, h, w = x.shape
     if h % 2 or w % 2:
         raise ShapeMismatchError(f"maxpool needs even spatial dims, got {h}x{w}")
-    a, b, c, d = _pool_views(x)
-    # np.maximum keeps its second operand on a tie, so the earlier position
-    # goes second: the output is then the argmax element, down to a zero's sign
-    top, bottom = np.maximum(b, a), np.maximum(d, c)
-    idx = (np.where(bottom > top, (d > c).view(np.int8) + np.int8(2), (b > a).view(np.int8))
-           if argmax else None)
-    return np.maximum(bottom, top), idx
+    out = np.empty((n, ch, h // 2, w // 2), dtype=x.dtype)
+    idx = np.empty(out.shape, dtype=np.int8) if argmax else None
+    for sl in _chunks(n, ch * h * w * x.itemsize):
+        a, b, c, d = _pool_views(x[sl])
+        # np.maximum keeps its second operand on a tie, so the earlier position
+        # goes second: the output is then the argmax element, down to a zero's sign
+        top, bottom = np.maximum(b, a), np.maximum(d, c)
+        np.maximum(bottom, top, out=out[sl])
+        if argmax:
+            idx[sl] = np.where(bottom > top, (d > c).view(np.int8) + np.int8(2),
+                               (b > a).view(np.int8))
+    return out, idx
 
 
 def maxpool_backward(x_shape: tuple, idx: np.ndarray, upstream: np.ndarray) -> np.ndarray:
@@ -251,15 +294,18 @@ def maxpool_backward(x_shape: tuple, idx: np.ndarray, upstream: np.ndarray) -> n
     Each of the four strided views of ``dx`` gets the bits of
     ``np.where(idx == k, upstream, 0)``, written as ``upstream``'s bits ANDed
     with an all-ones or all-zeros mask: one pass per view and no temporary
-    the size of ``upstream``.
+    the size of ``upstream``. The batch is walked in cache-sized chunks, so
+    each chunk's four passes read ``idx`` and ``upstream`` from cache.
     """
+    n, c, h, w = x_shape
     dx = np.empty(x_shape, dtype=upstream.dtype)
     as_int = np.dtype(f"i{upstream.itemsize}")
     bits = upstream.view(as_int)
-    for k, view in enumerate(_pool_views(dx.view(as_int))):
-        mask = (idx == k).view(np.int8)
-        np.negative(mask, out=mask)  # 1 -> -1, all bits set
-        np.bitwise_and(bits, mask, out=view)
+    for sl in _chunks(n, c * h * w * dx.itemsize):
+        for k, view in enumerate(_pool_views(dx[sl].view(as_int))):
+            mask = (idx[sl] == k).view(np.int8)
+            np.negative(mask, out=mask)  # 1 -> -1, all bits set
+            np.bitwise_and(bits[sl], mask, out=view)
     return dx
 
 

@@ -39,6 +39,7 @@ from .errors import (
     ShapeMismatchError,
     VersionMismatchError,
 )
+from .imaging import atomic_write
 from .nn import (
     CONV, DROPOUT, FC, FLATTEN, MAXPOOL, RELU,
     LayerSpec, ModelParams, backward, forward, forward_frozen, init_params,
@@ -226,7 +227,7 @@ def save_model(params: ModelParams, path) -> None:
         payload += np.ascontiguousarray(w, dtype="<f4").tobytes()
     for b in params.biases:
         payload += np.ascontiguousarray(b, dtype="<f4").tobytes()
-    with open(path, "wb") as f:
+    with atomic_write(path) as f:
         f.write(_MAGIC)
         f.write(payload)
         f.write(struct.pack("<I", zlib.crc32(bytes(payload))))

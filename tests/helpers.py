@@ -1,5 +1,7 @@
 """Shared test fixtures: synthetic faces with landmarks, toy training corpora."""
 
+import errno
+import io
 import math
 import os
 
@@ -28,6 +30,25 @@ def overwrite(path, data: bytes) -> None:
     with open(path, "r+b") as f:
         f.write(data)
         f.truncate()
+
+
+def fill_disk_after(monkeypatch, limit: int) -> list:
+    """Make every file ``imaging.atomic_write`` opens take ``limit`` bytes and
+    then fail as a full disk does. Returns a list that gets, at each failure,
+    the sorted names in the file's directory."""
+    listings = []
+
+    class FullDisk(io.FileIO):
+        def write(self, data):
+            room = limit - self.tell()
+            if len(data) <= room:
+                return super().write(data)
+            super().write(data[:room])
+            listings.append(sorted(os.listdir(os.path.dirname(self.name))))
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), self.name)
+
+    monkeypatch.setattr(imaging, "open", lambda path, mode: FullDisk(path, "w"), raising=False)
+    return listings
 
 
 def synthetic_face(w=260, h=280, cx=None, cy=None, face_w=70, face_h=90,

@@ -1,4 +1,6 @@
+import fnmatch
 import math
+import os
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from emotionforge.errors import (
     ZeroDimensionError,
 )
 from emotionforge.rng import Prng
-from helpers import decode_outcome
+from helpers import decode_outcome, fill_disk_after
 
 
 def to_grayscale(r: int, g: int, b: int) -> int:
@@ -139,6 +141,29 @@ class TestPgm:
         header = b"P5\n128 128\n255\n"
         assert data.startswith(header)
         assert len(data) - len(header) == 16384
+
+
+class TestAtomicSave:
+    def test_full_disk_keeps_the_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "face.pgm"
+        imaging.save_pgm(path, np.full((4, 6), 7, dtype=np.uint8))
+        old = path.read_bytes()
+        listings = fill_disk_after(monkeypatch, len(old) // 2)
+        with pytest.raises(OSError):
+            imaging.save_pgm(path, np.full((4, 6), 9, dtype=np.uint8))
+        assert path.read_bytes() == old
+        assert os.listdir(tmp_path) == ["face.pgm"]
+        # the half-written temporary file sat beside it, out of a *.pgm glob's sight
+        [names] = listings
+        assert len(names) == 2 and fnmatch.filter(names, "*.pgm") == ["face.pgm"]
+
+    def test_replaces_the_old_file(self, tmp_path):
+        path = tmp_path / "face.pgm"
+        imaging.save_pgm(path, np.zeros((4, 6), dtype=np.uint8))
+        img = np.arange(24, dtype=np.uint8).reshape(4, 6)
+        imaging.save_pgm(path, img)
+        assert path.read_bytes() == imaging.write_pgm(img)
+        assert os.listdir(tmp_path) == ["face.pgm"]
 
 
 class TestPgmHeaderGrammar:

@@ -377,6 +377,51 @@ def ref_conv_dw(x, w, upstream, stride, pad):
     return np.tensordot(up, cols, axes=([0, 2], [0, 2])).reshape(w.shape)
 
 
+def ref_whole_batch_conv2d_forward(x, w, b, stride, pad):
+    """conv2d_forward as one im2col copy and one stacked GEMM over the whole batch."""
+    n, _, h, wd = x.shape
+    k, _, kh, kw = w.shape
+    ho, wo = (h + 2 * pad - kh) // stride + 1, (wd + 2 * pad - kw) // stride + 1
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
+    y = np.matmul(w.reshape(k, -1), nn._im2col(xp, kh, kw, stride, ho, wo))
+    y += b.reshape(1, k, 1)
+    return y.reshape(n, k, ho, wo)
+
+
+def ref_whole_batch_conv_dx(x_shape, w, upstream, stride, pad):
+    """conv2d_backward's dx as one stacked GEMM and one col2im over the whole batch."""
+    n, c, h, wd = x_shape
+    k, _, kh, kw = w.shape
+    _, _, ho, wo = upstream.shape
+    dcols = np.matmul(w.reshape(k, -1).T, upstream.reshape(n, k, ho * wo))
+    dcols = dcols.reshape(n, c, kh, kw, ho, wo)
+    dxp = np.zeros((n, c, h + 2 * pad, wd + 2 * pad), dtype=upstream.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            dxp[:, :, i : i + stride * ho : stride,
+                j : j + stride * wo : stride] += dcols[:, :, i, j]
+    return dxp[:, :, pad : pad + h, pad : pad + wd]
+
+
+def ref_whole_batch_maxpool_forward(x):
+    """maxpool_forward over the whole batch at once: the strided-view compares."""
+    a, b, c, d = nn._pool_views(x)
+    top, bottom = np.maximum(b, a), np.maximum(d, c)
+    idx = np.where(bottom > top, (d > c).view(np.int8) + np.int8(2), (b > a).view(np.int8))
+    return np.maximum(bottom, top), idx
+
+
+def ref_whole_batch_maxpool_backward(x_shape, idx, upstream):
+    """maxpool_backward over the whole batch at once: four masked bit copies."""
+    dx = np.empty(x_shape, dtype=upstream.dtype)
+    as_int = np.dtype(f"i{upstream.itemsize}")
+    for k, view in enumerate(nn._pool_views(dx.view(as_int))):
+        mask = (idx == k).view(np.int8)
+        np.negative(mask, out=mask)
+        np.bitwise_and(upstream.view(as_int), mask, out=view)
+    return dx
+
+
 def ref_forward_backward(p, x, dlogits):
     """Logits and gradients with every layer in its serialized order (relu
     before maxpool) and the reference kernels; dropout off."""
@@ -518,6 +563,123 @@ class TestKernelEquivalence:
         assert same_bits(logits, ref_logits)
         for dw, db, (ref_dw, ref_db) in zip(dws, dbs, ref_grads):
             assert same_bits(dw, ref_dw) and same_bits(db, ref_db)
+
+
+# EMO-NET's convs with their real input sides, and its pools' real input shapes
+REAL_CONVS = list(zip([s for s in nn.emo_net_layers() if s.kind == nn.CONV], (128, 32, 16)))
+REAL_POOLS = [(32, 64), (64, 32), (128, 16)]  # (channels, side)
+
+
+def chunk_boundary_batches(monkeypatch, kernel):
+    """The chunk length ``kernel(n)`` walks its batch with, and the batch sizes
+    that test it: one sample, a chunk less one, one chunk, a chunk plus one,
+    and two chunks with a ragged one-sample tail."""
+    steps = []
+    chunks = nn._chunks
+
+    def record(n, sample_bytes):
+        out = chunks(n, sample_bytes)
+        steps.append(out[0].stop)
+        return out
+
+    monkeypatch.setattr(nn, "_chunks", record)
+    kernel(1)
+    monkeypatch.undo()
+    step = steps[0]
+    return step, sorted({1, max(1, step - 1), step, step + 1, 2 * step + 1})
+
+
+def plant_ties_and_nans(x, samples):
+    """Signed-zero ties and a NaN at each 2x2 window position, in channel 0 of
+    each given sample."""
+    ties = [[[-0.0, 0.0], [-1.0, -2.0]], [[0.0, -0.0], [-1.0, -2.0]],
+            [[-1.0, -2.0], [-0.0, 0.0]], [[-3.0, 0.0], [-0.0, -2.0]]]
+    for s in samples:
+        for j, tie in enumerate(ties):
+            x[s, 0, 0:2, 2 * j : 2 * j + 2] = tie
+        for pos in range(4):
+            x[s, 0, 2 + pos // 2, 2 * pos + pos % 2] = np.nan
+    return x
+
+
+class TestChunkedKernels:
+    """The cache-sized batch chunks give the whole-batch kernels' bits, with
+    NaNs and signed-zero ties in the last sample of a chunk."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("spec,hw", REAL_CONVS, ids=["conv1", "conv2", "conv3"])
+    def test_conv_forward(self, monkeypatch, spec, hw, dtype):
+        w = rnd(spec.weight_shape, 60, dtype=dtype)
+        b = rnd((spec.out_ch,), 61, dtype=dtype)
+
+        def inputs(n):
+            return rnd((n, spec.in_ch, hw, hw), 62, dtype=dtype)
+
+        step, batches = chunk_boundary_batches(
+            monkeypatch, lambda n: nn.conv2d_forward(inputs(n), w, b, spec.stride, spec.pad))
+        for n in batches:
+            x = plant_ties_and_nans(inputs(n), {min(step, n) - 1, n - 1})
+            pad = ((0, 0), (0, 0), (spec.pad, spec.pad), (spec.pad, spec.pad))
+            assert same_bits(nn._pad(x, spec.pad), np.pad(x, pad))
+            assert same_bits(nn.conv2d_forward(x, w, b, spec.stride, spec.pad),
+                             ref_whole_batch_conv2d_forward(x, w, b, spec.stride, spec.pad))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("spec,hw", REAL_CONVS, ids=["conv1", "conv2", "conv3"])
+    def test_conv_dx(self, monkeypatch, spec, hw, dtype):
+        w = rnd(spec.weight_shape, 63, dtype=dtype)
+        ho, wo = nn.conv_out_hw(hw, hw, spec)
+
+        def inputs(n):
+            return (rnd((n, spec.in_ch, hw, hw), 64, dtype=dtype),
+                    rnd((n, spec.out_ch, ho, wo), 65, dtype=dtype))
+
+        def dx(x, up):
+            return nn.conv2d_backward(x, w, up, spec.stride, spec.pad)[0]
+
+        step, batches = chunk_boundary_batches(monkeypatch, lambda n: dx(*inputs(n)))
+        for n in batches:
+            x, up = inputs(n)
+            plant_ties_and_nans(up, {min(step, n) - 1, n - 1})
+            assert same_bits(dx(x, up),
+                             ref_whole_batch_conv_dx(x.shape, w, up, spec.stride, spec.pad))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("c,hw", REAL_POOLS, ids=["pool1", "pool2", "pool3"])
+    def test_maxpool(self, monkeypatch, c, hw, dtype):
+        def inputs(n):
+            return rnd((n, c, hw, hw), 66, dtype=dtype)
+
+        step, batches = chunk_boundary_batches(monkeypatch,
+                                               lambda n: nn.maxpool_forward(inputs(n)))
+        for n in batches:
+            last = {min(step, n) - 1, n - 1}
+            x = plant_ties_and_nans(inputs(n), last)
+            out, idx = nn.maxpool_forward(x)
+            ref_out, ref_idx = ref_whole_batch_maxpool_forward(x)
+            assert same_bits(out, ref_out) and same_bits(idx, ref_idx)
+            assert same_bits(nn.maxpool_forward(x, argmax=False)[0], ref_out)
+            up = plant_ties_and_nans(rnd(out.shape, 67, dtype=dtype), last)
+            assert same_bits(nn.maxpool_backward(x.shape, idx, up),
+                             ref_whole_batch_maxpool_backward(x.shape, ref_idx, up))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("spec,hw", REAL_CONVS, ids=["conv1", "conv2", "conv3"])
+    def test_stacked_matmul_is_one_gemm_per_slice(self, spec, hw, dtype):
+        # the chunks' byte identity rests on this: a numpy or BLAS whose
+        # stacked matmul batched its slices differently would fail here
+        ho, wo = nn.conv_out_hw(hw, hw, spec)
+        w2 = rnd(spec.weight_shape, 68, dtype=dtype).reshape(spec.out_ch, -1)
+        cols = rnd((3, w2.shape[1], ho * wo), 69, dtype=dtype)
+        up = rnd((3, spec.out_ch, ho * wo), 70, dtype=dtype)
+        for a, stack in ((w2, cols), (w2.T, up)):
+            whole = np.matmul(a, stack)
+            out = np.empty_like(whole)
+            np.matmul(a, stack[:2], out=out[:2])
+            np.matmul(a, stack[2:], out=out[2:])
+            assert same_bits(out, whole)
+            for s in range(3):
+                assert same_bits(whole[s], np.matmul(a, stack[s]))
 
 
 class TestSubnormalFlush:

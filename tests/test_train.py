@@ -1,4 +1,5 @@
 import math
+import os
 import struct
 import zlib
 
@@ -18,7 +19,7 @@ from emotionforge.errors import (
     VersionMismatchError,
 )
 from emotionforge.rng import Prng
-from helpers import decode_outcome, make_toy_corpus, overwrite
+from helpers import decode_outcome, fill_disk_after, make_toy_corpus, overwrite
 
 
 def params_equal(a, b):
@@ -229,6 +230,17 @@ class TestModelFiles:
         assert back.layers == p.layers
         assert all(np.array_equal(a, b) for a, b in zip(back.weights, p.weights))
         assert all(np.array_equal(a, b) for a, b in zip(back.biases, p.biases))
+
+    def test_full_disk_keeps_the_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.emo"
+        train.save_model(nn.init_params(seed=1, input_hw=16), path)
+        old = path.read_bytes()
+        listings = fill_disk_after(monkeypatch, len(old) // 2)
+        with pytest.raises(OSError):
+            train.save_model(nn.init_params(seed=2, input_hw=16), path)
+        assert path.read_bytes() == old
+        assert os.listdir(tmp_path) == ["m.emo"]
+        assert [len(names) for names in listings] == [2]  # failed beside it, halfway
 
     def test_emo_net_file_size_under_budget(self, tmp_path):
         p = nn.init_params(seed=0)
