@@ -1,8 +1,8 @@
-"""Corpus ingestion, label construction, and deterministic batch iteration.
+"""Corpus ingestion, label construction, and batch decoding.
 
 Manifest line grammar (comma-separated, ``#`` starts a comment line):
 
-    <image_path>,<class_name>[,<intensity>[,<apex_index>]]
+    <image_path>,<class_name>[,<intensity>]
 
 Class names are the lower-case emotion names. Intensity is a decimal in
 (0, 1] and is required in regression mode. Relative image paths are resolved
@@ -23,7 +23,6 @@ import numpy as np
 
 from .errors import (
     ApexOnBoundaryError,
-    EmptyDatasetError,
     ManifestParseError,
     MissingIntensityColumnError,
     OutOfRangeIntensityError,
@@ -32,8 +31,7 @@ from .errors import (
     UnknownClassNameError,
 )
 from .imaging import load_pgm
-from .alignment import ALIGNED_SIZE, sidecar_path
-from .rng import Prng
+from .alignment import ALIGNED_SIZE
 
 class EmotionClass(enum.IntEnum):
     ANGRY = 0
@@ -65,10 +63,8 @@ MODES = ("classification", "regression")
 @dataclass(frozen=True)
 class Sample:
     image_path: str
-    landmark_path: str
     label: EmotionClass
     intensity: np.ndarray | None = None   # (7,) float32, regression manifests only
-    apex: int | None = None               # optional 4th manifest column
 
 
 @dataclass(frozen=True)
@@ -148,7 +144,7 @@ def load_manifest(path, mode: str) -> list[Sample]:
     for lineno, fields in manifest_rows(path):
         if len(fields) < 2 or not fields[0]:
             raise ManifestParseError(f"{path}:{lineno}: need <image_path>,<class_name>")
-        if len(fields) > 4:
+        if len(fields) > 3:
             raise ManifestParseError(f"{path}:{lineno}: too many columns ({len(fields)})")
         img_path = os.path.join(base, fields[0])
         label = EmotionClass.from_name(fields[1])
@@ -164,16 +160,7 @@ def load_manifest(path, mode: str) -> list[Sample]:
                 raise ManifestParseError(f"{path}:{lineno}: bad intensity {fields[2]!r}") from None
             except OutOfRangeIntensityError as exc:
                 raise ManifestParseError(f"{path}:{lineno}: {exc}") from None
-
-        apex = None
-        if len(fields) == 4 and fields[3]:
-            try:
-                apex = int(fields[3])
-            except ValueError:
-                raise ManifestParseError(f"{path}:{lineno}: bad apex index {fields[3]!r}") from None
-
-        samples.append(Sample(image_path=img_path, landmark_path=sidecar_path(img_path),
-                              label=label, intensity=intensity, apex=apex))
+        samples.append(Sample(image_path=img_path, label=label, intensity=intensity))
     return samples
 
 
@@ -197,25 +184,3 @@ def load_batch_inputs(batch_samples: list[Sample]) -> Batch:
     intensities = (np.stack([s.intensity for s in batch_samples]).astype(np.float32)
                    if batch_samples[0].intensity is not None else None)
     return Batch(inputs=inputs, class_targets=targets, intensity_targets=intensities)
-
-
-def _epoch_chunks(samples: list[Sample], batch_size: int, seed: int,
-                  epoch: int) -> list[list[Sample]]:
-    """One epoch's batches as sample lists, not yet decoded.
-
-    The permutation comes from the pinned generator keyed by (seed, epoch);
-    the final short batch is kept as-is.
-    """
-    if batch_size < 1:
-        raise ValueError(f"batch_size {batch_size} must be >= 1")
-    if not samples:
-        raise EmptyDatasetError("no samples")
-    order = Prng.derive(seed, 1, epoch).permutation(len(samples))
-    return [[samples[i] for i in order[start : start + batch_size]]
-            for start in range(0, len(samples), batch_size)]
-
-
-def batches(samples: list[Sample], batch_size: int, seed: int, epoch: int):
-    """One epoch of batches in a deterministic shuffled order (``_epoch_chunks``)."""
-    for chunk in _epoch_chunks(samples, batch_size, seed, epoch):
-        yield load_batch_inputs(chunk)

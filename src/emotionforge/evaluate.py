@@ -21,10 +21,6 @@ class ConfusionMatrix:
     counts: np.ndarray  # (7, 7) int64, [true][predicted]
 
     @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-    @property
     def accuracy(self) -> float:
         return float(np.trace(self.counts) / self.counts.sum())
 

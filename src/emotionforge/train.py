@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import loss as losses
-from .dataset import MODES, Batch, Sample, _epoch_chunks, load_batch_inputs
+from .dataset import MODES, Batch, Sample, load_batch_inputs
 from .errors import (
     BadMagicError,
     ChecksumMismatchError,
@@ -145,13 +145,22 @@ def evaluate_dataset(params: ModelParams, samples: list[Sample], mode: str,
                      accuracy=correct / len(samples))
 
 
+def _epoch_chunks(samples: list[Sample], batch_size: int, seed: int,
+                  epoch: int) -> list[list[Sample]]:
+    """Epoch ``epoch``'s batches, undecoded: the permutation from generator
+    lane (seed, 1, epoch), cut every batch_size indices; the last may be short."""
+    order = Prng.derive(seed, 1, epoch).permutation(len(samples))
+    return [[samples[i] for i in order[start : start + batch_size]]
+            for start in range(0, len(samples), batch_size)]
+
+
 def train_loop(config: TrainConfig, train_set: list[Sample], val_set: list[Sample],
                resume_from: Checkpoint | None = None,
                params: ModelParams | None = None) -> tuple[Checkpoint, TrainHistory]:
     """Run SGD for config.max_iterations, validating every checkpoint_every.
 
-    Batch order matches dataset.batches: epoch e uses the permutation from
-    generator lane (seed, 1, e), consumed batch_size indices at a time.
+    Batches come from ``_epoch_chunks``. A resume continues mid-epoch where its
+    checkpoint stopped; a checkpoint past max_iterations is a ValueError.
     """
     if not train_set:
         raise EmptyDatasetError("empty training set")
@@ -159,6 +168,9 @@ def train_loop(config: TrainConfig, train_set: list[Sample], val_set: list[Sampl
         raise EmptyDatasetError("empty validation set")
 
     if resume_from is not None:
+        if resume_from.iteration > config.max_iterations:
+            raise ValueError(f"checkpoint at iteration {resume_from.iteration} is past "
+                             f"max_iterations {config.max_iterations}")
         params = resume_from.params.copy()
         velocities = [v.copy() for v in resume_from.velocities]
         history = TrainHistory(list(resume_from.history.train_loss),
@@ -278,6 +290,10 @@ def load_model(path) -> ModelParams:
 
 # --- gradient checking --------------------------------------------------------------
 
+_GRAD_CHECK_EPS = 1e-3     # central-difference step
+_GRAD_CHECK_LANE = (0, 3)  # generator (seed, lane) that picks the probed coordinates
+
+
 @dataclass
 class GradCheckReport:
     max_error: float
@@ -285,11 +301,6 @@ class GradCheckReport:
     worst_coord: tuple
     analytic: float
     numeric: float
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return self.max_error < self.tolerance
 
 
 def _relative_error(a: float, n: float) -> float:
@@ -300,22 +311,19 @@ def _relative_error(a: float, n: float) -> float:
 
 
 def gradient_check(params: ModelParams, batch: Batch, mode: str,
-                   eps: float = 1e-3, coords_per_tensor: int = 200,
-                   seed: int = 0, tolerance: float = 1e-3,
-                   freeze_routing: bool = True) -> GradCheckReport:
+                   coords_per_tensor: int = 200) -> GradCheckReport:
     """Analytic gradients vs central finite differences, in float64.
 
     Dropout is disabled (no rng supplied to forward), so the loss surface the
     oracle probes is exactly the one backward differentiates. Coordinates are
-    subsampled per tensor with generator lane (seed, 3).
+    subsampled per tensor from generator ``_GRAD_CHECK_LANE``.
 
-    With ``freeze_routing`` (the default) the finite differences probe the
-    fixed activation-pattern loss — ReLU masks and pool argmax held at the
-    base point via nn.forward_frozen. That is the piecewise-linear branch
-    whose exact gradient backward computes; probing the raw kinked loss with
-    a step as large as 1e-3 routinely crosses ReLU boundaries and reports
-    spurious errors orders of magnitude above any real bug. Set it False
-    (with a much smaller eps) to probe the raw loss instead.
+    The finite differences probe the fixed activation-pattern loss — ReLU
+    masks and pool argmax held at the base point via nn.forward_frozen. That
+    is the piecewise-linear branch whose exact gradient backward computes;
+    probing the raw kinked loss with a step as large as 1e-3 routinely
+    crosses ReLU boundaries and reports spurious errors orders of magnitude
+    above any real bug.
     """
     p64 = params.astype(np.float64)
     x = batch.inputs.astype(np.float64)
@@ -325,14 +333,10 @@ def gradient_check(params: ModelParams, batch: Batch, mode: str,
     dweights, dbiases = backward(p64, caches, lv.dlogits)
 
     def loss_value() -> float:
-        if freeze_routing:
-            lg = forward_frozen(p64, x, caches)
-        else:
-            lg = forward(p64, x, mode="infer")
-        return _batch_loss(batch, mode, lg).value
+        return _batch_loss(batch, mode, forward_frozen(p64, x, caches)).value
 
-    rng = Prng.derive(seed, 3)
-    report = GradCheckReport(0.0, "", (), 0.0, 0.0, tolerance)
+    rng = Prng.derive(*_GRAD_CHECK_LANE)
+    report = GradCheckReport(0.0, "", (), 0.0, 0.0)
     names = [f"w{i}" for i in range(len(p64.weights))] + \
             [f"b{i}" for i in range(len(p64.biases))]
     tensors = p64.weights + p64.biases
@@ -342,12 +346,12 @@ def gradient_check(params: ModelParams, batch: Batch, mode: str,
         for ci in rng.choice(flat.size, coords_per_tensor):
             ci = int(ci)
             keep = flat[ci]
-            flat[ci] = keep + eps
+            flat[ci] = keep + _GRAD_CHECK_EPS
             up = loss_value()
-            flat[ci] = keep - eps
+            flat[ci] = keep - _GRAD_CHECK_EPS
             down = loss_value()
             flat[ci] = keep
-            numeric = (up - down) / (2 * eps)
+            numeric = (up - down) / (2 * _GRAD_CHECK_EPS)
             analytic = float(grad.reshape(-1)[ci])
             err = _relative_error(analytic, numeric)
             if err > report.max_error:

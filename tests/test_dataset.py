@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emotionforge import dataset, imaging
+from emotionforge import dataset, imaging, train
 from emotionforge.dataset import EmotionClass
 from emotionforge.errors import (
     ApexOnBoundaryError,
-    EmptyDatasetError,
     ManifestParseError,
     MissingIntensityColumnError,
     OutOfRangeIntensityError,
@@ -21,7 +20,7 @@ from emotionforge.rng import Prng
 from helpers import decode_outcome, overwrite
 
 # pieces of manifest text: paths, class names in and out of the list,
-# intensities and apex indices in and out of range, separators, comments,
+# intensities in and out of range, separators, comments,
 # line breaks and bytes that are not UTF-8
 MANIFEST_PIECES = [b"a.pgm", b"d/b.pgm", b"happy", b"NEUTRAL", b"joy", b"0.5", b"1", b"0",
                    b"1.5", b"nan", b"-3", b"x", b"9" * 5000, b",", b",", b",", b" ", b"\t",
@@ -125,7 +124,6 @@ class TestManifest:
         assert samples[0].label is EmotionClass.HAPPY
         assert samples[0].intensity is None
         assert samples[0].image_path == str(tmp / paths[0])
-        assert samples[0].landmark_path.endswith(".lm68")
 
     def test_regression_line(self, corpus):
         tmp, paths = corpus
@@ -135,12 +133,13 @@ class TestManifest:
         assert s.intensity[EmotionClass.HAPPY] == pytest.approx(0.6)
         assert s.intensity[EmotionClass.NEUTRAL] == pytest.approx(0.4)
 
-    def test_apex_column(self, corpus):
+    def test_fourth_column_is_rejected_with_line_number(self, corpus):
         tmp, paths = corpus
         man = tmp / "m.csv"
-        man.write_text(f"{paths[0]},surprise,1.0,14\n")
-        s = dataset.load_manifest(man, "regression")[0]
-        assert s.apex == 14
+        man.write_text(f"{paths[0]},surprise,1.0\n{paths[1]},surprise,1.0,14\n")
+        for mode in dataset.MODES:
+            with pytest.raises(ManifestParseError, match=r"m\.csv:2: too many columns \(4\)"):
+                dataset.load_manifest(man, mode)
 
     def test_unknown_class(self, corpus):
         tmp, paths = corpus
@@ -172,6 +171,8 @@ class TestManifest:
 
 
 class TestBatches:
+    """Epoch order (train._epoch_chunks) and batch decoding (load_batch_inputs)."""
+
     def make_samples(self, corpus, n=10):
         tmp, paths = corpus
         man = tmp / "m.csv"
@@ -182,12 +183,12 @@ class TestBatches:
 
     def test_batch_sizes(self, corpus):
         samples = self.make_samples(corpus, 10)
-        sizes = [b.inputs.shape[0] for b in dataset.batches(samples, 4, seed=1, epoch=0)]
+        sizes = [len(chunk) for chunk in train._epoch_chunks(samples, 4, seed=1, epoch=0)]
         assert sizes == [4, 4, 2]
 
     def test_shapes_and_scaling(self, corpus):
         samples = self.make_samples(corpus, 6)
-        batch = next(dataset.batches(samples, 6, seed=1, epoch=0))
+        batch = dataset.load_batch_inputs(samples)
         assert batch.inputs.shape == (6, 1, 128, 128)
         assert batch.inputs.dtype == np.float32
         assert batch.inputs.min() >= 0.0 and batch.inputs.max() <= 1.0
@@ -196,22 +197,15 @@ class TestBatches:
 
     def test_deterministic_per_epoch(self, corpus):
         samples = self.make_samples(corpus, 10)
-        a = [b.class_targets.tolist() for b in dataset.batches(samples, 3, seed=9, epoch=2)]
-        b = [b.class_targets.tolist() for b in dataset.batches(samples, 3, seed=9, epoch=2)]
-        assert a == b
+        assert (train._epoch_chunks(samples, 3, seed=9, epoch=2)
+                == train._epoch_chunks(samples, 3, seed=9, epoch=2))
 
     def test_epochs_differ(self, corpus):
         samples = self.make_samples(corpus, 10)
         perm0 = Prng.derive(5, 1, 0).permutation(100)
         perm1 = Prng.derive(5, 1, 1).permutation(100)
         assert not (perm0 == perm1).all()
-        a = np.concatenate([b.inputs.ravel() for b in dataset.batches(samples, 4, 5, 0)])
-        b = np.concatenate([b.inputs.ravel() for b in dataset.batches(samples, 4, 5, 1)])
-        assert not np.array_equal(a, b)
-
-    def test_empty_dataset(self):
-        with pytest.raises(EmptyDatasetError):
-            next(dataset.batches([], 4, seed=0, epoch=0))
+        assert train._epoch_chunks(samples, 4, 5, 0) != train._epoch_chunks(samples, 4, 5, 1)
 
     def test_rejects_unaligned_images(self, corpus, tmp_path):
         tmp, _ = corpus
@@ -220,13 +214,12 @@ class TestBatches:
         man.write_text("small.pgm,happy\n")
         samples = dataset.load_manifest(man, "classification")
         with pytest.raises(ValueError, match="128x128"):
-            next(dataset.batches(samples, 1, seed=0, epoch=0))
+            dataset.load_batch_inputs(samples)
 
     def test_unaligned_image_is_a_typed_error(self, corpus):
         tmp, _ = corpus
         imaging.save_pgm(tmp / "wide.pgm", np.zeros((128, 129), dtype=np.uint8))
-        sample = dataset.Sample(str(tmp / "wide.pgm"), str(tmp / "wide.lm68"),
-                                EmotionClass.HAPPY)
+        sample = dataset.Sample(image_path=str(tmp / "wide.pgm"), label=EmotionClass.HAPPY)
         with pytest.raises(UnalignedImageError, match="129x128"):
             dataset.load_batch_inputs([sample])
 
