@@ -1,7 +1,9 @@
 """Deterministic 28-way augmentation: 7 brightness levels x 4 blur states.
 
-Variant order is brightness-major, blur-minor, and the pipeline applies
-brightness first, then blur. The (1.0, none) variant is the input bit-exact.
+Variant order is brightness-major, blur-minor, and every variant equals
+brightness first, then blur, byte for byte. The median is taken once per
+source and then brightened, which gives the same bytes because brightness
+is monotone. The (1.0, none) variant is the input bit-exact.
 Tags have the form ``b<factor>__<kind>`` with the factor printed to two
 decimals; the CLI writes variants as ``<stem>__<tag>.pgm``.
 """
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidSpecError
-from .imaging import BLUR_KINDS, adjust_brightness, blur
+from .imaging import BLUR_KINDS, _blur_windows, _windows_5x5, adjust_brightness, blur
 
 DEFAULT_BRIGHTNESS_FACTORS = (0.55, 0.70, 0.85, 1.00, 1.15, 1.30, 1.45)
 DEFAULT_BLUR_KINDS = ("none",) + BLUR_KINDS
@@ -49,12 +51,23 @@ def variant_tag(factor: float, kind: str) -> str:
 
 
 def variants(img: np.ndarray, spec: AugmentSpec) -> list[tuple[str, np.ndarray]]:
-    """All 28 (tag, image) variants in deterministic order."""
+    """All 28 (tag, image) variants in deterministic order.
+
+    The gaussian and the average of one level share one window stack; the
+    median is taken once, of ``img``, and brightened for each level.
+    """
     spec.validate()
+    median = blur(img, "median") if "median" in spec.blur_kinds else None
     out = []
     for factor in spec.brightness_factors:
         bright = img if factor == 1.0 else adjust_brightness(img, factor)
+        win = _windows_5x5(bright) if {"gaussian", "average"} & set(spec.blur_kinds) else None
         for kind in spec.blur_kinds:
-            var = bright.copy() if kind == "none" else blur(bright, kind)
+            if kind == "none":
+                var = bright.copy()
+            elif kind == "median":
+                var = adjust_brightness(median, factor)
+            else:
+                var = _blur_windows(win, kind)
             out.append((variant_tag(factor, kind), var))
     return out

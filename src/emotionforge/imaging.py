@@ -16,6 +16,7 @@ import os
 import re
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     MalformedHeaderError,
@@ -200,20 +201,14 @@ _GAUSSIAN_5X5 = _gaussian_kernel_5x5()
 
 
 def _windows_5x5(img: np.ndarray) -> np.ndarray:
-    """(h, w, 25) view of the 5x5 neighbourhoods, edges replicated."""
+    """(h, w, 25) float64 copy of the 5x5 neighbourhoods, edges replicated."""
     padded = np.pad(img, 2, mode="edge").astype(np.float64)
     h, w = img.shape
-    stack = [padded[i : i + h, j : j + w] for i in range(5) for j in range(5)]
-    return np.stack(stack, axis=-1)
+    return sliding_window_view(padded, (5, 5)).reshape(h, w, 25)
 
 
-def blur(img: np.ndarray, kind: str) -> np.ndarray:
-    """5x5 blur with clamp-to-border edge handling.
-
-    gaussian: sigma 1.5, kernel normalized to sum 1; average: uniform 1/25;
-    median: 13th order statistic of the 25 window values.
-    """
-    win = _windows_5x5(img)
+def _blur_windows(win: np.ndarray, kind: str) -> np.ndarray:
+    """``blur`` of the image whose ``_windows_5x5`` stack is ``win``."""
     if kind == "gaussian":
         out = win @ _GAUSSIAN_5X5.ravel()
     elif kind == "average":
@@ -223,3 +218,12 @@ def blur(img: np.ndarray, kind: str) -> np.ndarray:
     else:
         raise ValueError(f"unknown blur kind {kind!r}")
     return _to_u8(out)
+
+
+def blur(img: np.ndarray, kind: str) -> np.ndarray:
+    """5x5 blur with clamp-to-border edge handling.
+
+    gaussian: sigma 1.5, kernel normalized to sum 1; average: uniform 1/25;
+    median: 13th order statistic of the 25 window values.
+    """
+    return _blur_windows(_windows_5x5(img), kind)

@@ -23,7 +23,7 @@ import itertools
 import math
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -160,7 +160,8 @@ def train_loop(config: TrainConfig, train_set: list[Sample], val_set: list[Sampl
     """Run SGD for config.max_iterations, validating every checkpoint_every.
 
     Batches come from ``_epoch_chunks``. A resume continues mid-epoch where its
-    checkpoint stopped; a checkpoint past max_iterations is a ValueError.
+    checkpoint stopped. It is a ValueError to resume a checkpoint past
+    max_iterations, or one whose config differs in any field but max_iterations.
     """
     if not train_set:
         raise EmptyDatasetError("empty training set")
@@ -168,6 +169,10 @@ def train_loop(config: TrainConfig, train_set: list[Sample], val_set: list[Sampl
         raise EmptyDatasetError("empty validation set")
 
     if resume_from is not None:
+        differ = [f.name for f in fields(TrainConfig) if f.name != "max_iterations"
+                  and getattr(config, f.name) != getattr(resume_from.config, f.name)]
+        if differ:
+            raise ValueError(f"config differs from the checkpoint's in {', '.join(differ)}")
         if resume_from.iteration > config.max_iterations:
             raise ValueError(f"checkpoint at iteration {resume_from.iteration} is past "
                              f"max_iterations {config.max_iterations}")

@@ -200,6 +200,27 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match="past max_iterations 4"):
             train.train_loop(self.cfg(4), tr, va, resume_from=ahead)
 
+    def test_resume_under_another_config_is_rejected(self, tmp_path):
+        man, vman = make_toy_corpus(tmp_path, n=12, n_train=10, seed=6)
+        tr = dataset.load_manifest(man, "classification")
+        va = dataset.load_manifest(vman, "classification")
+        half, _ = train.train_loop(self.cfg(2), tr, va)
+        with pytest.raises(ValueError, match=r"differs .* in learning_rate, batch_size, seed$"):
+            train.train_loop(self.cfg(4, seed=9, batch_size=3, learning_rate=0.5), tr, va,
+                             resume_from=half)
+        resumed, hist = train.train_loop(self.cfg(4), tr, va, resume_from=half)
+        assert resumed.iteration == 4 and len(hist.train_loss) == 4
+
+    @pytest.mark.parametrize("change", [
+        {"learning_rate": 0.02}, {"momentum": 0.5}, {"batch_size": 3}, {"seed": 6},
+        {"checkpoint_every": 2}, {"mode": "regression"},
+    ])
+    def test_each_config_field_but_max_iterations_must_match(self, tiny_sets, change):
+        tr, va = tiny_sets
+        ckpt, _ = train.train_loop(self.cfg(1), tr, va)
+        with pytest.raises(ValueError, match=f"in {next(iter(change))}$"):
+            train.train_loop(self.cfg(4, **change), tr, va, resume_from=ckpt)
+
     def test_history_shapes(self, tiny_sets):
         tr, va = tiny_sets
         _, hist = train.train_loop(self.cfg(6, checkpoint_every=2), tr, va)
