@@ -8,7 +8,7 @@
     stream   per-frame records for a frame directory or stdin manifest
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 internal error.
-EMOTION_FORGE_THREADS caps BLAS parallelism (set before numpy loads).
+EMOTION_FORGE_THREADS=N caps BLAS parallelism at N (set before numpy loads).
 """
 
 from __future__ import annotations
@@ -17,12 +17,18 @@ import os
 import sys
 
 
+def _positive_int(text: str | None) -> int | None:
+    return int(text) if text and text.isdecimal() and int(text) > 0 else None
+
+
 def _cap_threads() -> None:
-    cap = os.environ.get("EMOTION_FORGE_THREADS")
+    """Lower each BLAS/OpenMP thread variable to EMOTION_FORGE_THREADS when
+    that is a positive integer; a variable already set lower is kept."""
+    cap = _positive_int(os.environ.get("EMOTION_FORGE_THREADS"))
     if cap:
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                     "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-            os.environ.setdefault(var, cap)
+            os.environ[var] = str(min(_positive_int(os.environ.get(var)) or cap, cap))
 
 
 _cap_threads()

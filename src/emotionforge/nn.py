@@ -132,8 +132,9 @@ def init_params(seed: int, input_hw: int = 128, mode: str = "classification") ->
     layers = emo_net_layers(input_hw)
     weights, biases = [], []
     for shape in (spec.weight_shape for spec in layers if spec.parametric):
-        std = np.sqrt(2.0 / np.prod(shape[1:]))
-        weights.append((rng.normal(int(np.prod(shape))) * std).reshape(shape).astype(np.float32))
+        w = rng.normal(int(np.prod(shape)))
+        w *= np.sqrt(2.0 / np.prod(shape[1:]))
+        weights.append(w.astype(np.float32).reshape(shape))
         biases.append(np.zeros(shape[0], dtype=np.float32))
     return ModelParams(layers=layers, weights=weights, biases=biases, mode=mode)
 

@@ -7,8 +7,10 @@ that runs are reproducible bit-for-bit across processes and platforms:
 * core generator: counter-based splitmix64 (Steele, Lea & Flood). A stream
   is a key and a count of words drawn; word i (from 1) is
   ``_mix64(key + i * GOLDEN) mod 2**64``, so ``Prng(s)`` yields exactly the
-  splitmix64 sequence started at ``s`` and a whole draw is one numpy
-  expression. Consecutive draws continue the count;
+  splitmix64 sequence started at ``s``. Consecutive draws continue the count,
+  and a word depends on its index alone, so a long draw is computed block by
+  block (``_BLOCK`` words at a time, in a core's L2 cache) with the same
+  words as one whole-array pass;
 * uniform doubles: top 53 bits of a word, ``(x >> 11) * 2**-53``;
 * normals: Box-Muller from consecutive uniform pairs ``(u1, u2)``, with
   ``u1 + 2**-53`` in (0, 1] under the log, cos then sin;
@@ -25,6 +27,7 @@ import numpy as np
 
 _MASK = 0xFFFFFFFFFFFFFFFF
 _GOLDEN = 0x9E3779B97F4A7C15
+_BLOCK = 1 << 15    # words per block of a uniform or normal draw: 256 KiB
 
 
 def _mix64(z):
@@ -33,6 +36,11 @@ def _mix64(z):
     z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK
     z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK
     return z ^ (z >> 31)
+
+
+def _check_size(n: int) -> None:
+    if n < 0:
+        raise ValueError(f"draw size must be >= 0, got {n}")
 
 
 class Prng:
@@ -52,25 +60,44 @@ class Prng:
 
     def uint64(self, n: int) -> np.ndarray:
         """The next n 64-bit words as a uint64 array."""
-        i = np.arange(self._count + 1, self._count + n + 1, dtype=np.uint64)
+        _check_size(n)
+        z = np.arange(self._count + 1, self._count + n + 1, dtype=np.uint64)
         self._count += n
-        return _mix64(np.uint64(self._key) + i * np.uint64(_GOLDEN))
+        # _mix64 in place: uint64 multiplies wrap mod 2**64 without a mask
+        z *= np.uint64(_GOLDEN)
+        z += np.uint64(self._key)
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(0xBF58476D1CE4E5B9)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(0x94D049BB133111EB)
+        z ^= z >> np.uint64(31)
+        return z
 
     def uniform(self, n: int) -> np.ndarray:
         """n doubles in [0, 1)."""
-        return (self.uint64(n) >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+        _check_size(n)
+        out = np.empty(n)
+        for i in range(0, n, _BLOCK):
+            words = self.uint64(min(_BLOCK, n - i))
+            words >>= np.uint64(11)
+            np.multiply(words, 2.0 ** -53, out=out[i : i + _BLOCK])
+        return out
 
     def normal(self, n: int) -> np.ndarray:
         """n standard normals (Box-Muller, cos/sin pairs from uniform pairs)."""
+        _check_size(n)
         m = (n + 1) // 2
         u = self.uniform(2 * m)
-        # u1 in (0, 1] so log() stays finite; adding 2**-53 is exact.
-        r = np.sqrt(-2.0 * np.log(u[0::2] + 2.0 ** -53))
-        theta = 2.0 * np.pi * u[1::2]
-        out = np.empty(2 * m, dtype=np.float64)
-        out[0::2] = r * np.cos(theta)
-        out[1::2] = r * np.sin(theta)
-        return out[:n]
+        out = np.empty((m, 2))
+        for i in range(0, 2 * m, _BLOCK):
+            pairs = u[i : i + _BLOCK]
+            # u1 in (0, 1] so log() stays finite; adding 2**-53 is exact.
+            r = np.sqrt(-2.0 * np.log(pairs[0::2] + 2.0 ** -53))
+            theta = 2.0 * np.pi * pairs[1::2]
+            rows = out[i // 2 : (i + _BLOCK) // 2]
+            np.multiply(r, np.cos(theta), out=rows[:, 0])
+            np.multiply(r, np.sin(theta), out=rows[:, 1])
+        return out.reshape(-1)[:n]
 
     def permutation(self, n: int) -> np.ndarray:
         """Permutation of range(n): the stable argsort of n fresh words."""
@@ -78,6 +105,7 @@ class Prng:
 
     def choice(self, n: int, k: int) -> np.ndarray:
         """k indices sampled without replacement from range(n) (k <= n)."""
+        _check_size(min(n, k))
         if k >= n:
             return np.arange(n)
         return self.permutation(n)[:k]

@@ -247,12 +247,12 @@ def save_model(params: ModelParams, path) -> None:
     with atomic_write(path) as f:
         f.write(_MAGIC)
         f.write(payload)
-        f.write(struct.pack("<I", zlib.crc32(bytes(payload))))
+        f.write(struct.pack("<I", zlib.crc32(payload)))
 
 
 def load_model(path) -> ModelParams:
     with open(path, "rb") as f:
-        blob = f.read()
+        blob = memoryview(f.read())   # slices below are views, not copies
     if blob[:4] != _MAGIC:
         raise BadMagicError(f"{path}: not an EMO1 model file")
     if len(blob) < 4 + _HEADER.size + 4:

@@ -342,6 +342,27 @@ class TestThreadCount:
             models.append(out.read_bytes())
         assert models[0] == models[1]
 
+    VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+            "NUMEXPR_NUM_THREADS")
+
+    @pytest.mark.parametrize("cap, before, after", [
+        ("1", {"OPENBLAS_NUM_THREADS": "2"}, ("1", "1", "1", "1")),
+        ("2", {"OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "8"}, ("1", "2", "2", "2")),
+        ("3", {"OPENBLAS_NUM_THREADS": "abc", "NUMEXPR_NUM_THREADS": "0"}, ("3", "3", "3", "3")),
+        ("abc", {"OPENBLAS_NUM_THREADS": "2"}, (None, "2", None, None)),
+        ("0", {}, (None, None, None, None)),
+        ("-1", {}, (None, None, None, None)),
+        ("", {"OMP_NUM_THREADS": "4"}, ("4", None, None, None)),
+    ])
+    def test_cap_only_lowers_and_ignores_a_bad_value(self, monkeypatch, cap, before, after):
+        for var in self.VARS:
+            monkeypatch.delenv(var, raising=False)
+        for var, value in before.items():
+            monkeypatch.setenv(var, value)
+        monkeypatch.setenv("EMOTION_FORGE_THREADS", cap)
+        cli._cap_threads()
+        assert tuple(os.environ.get(var) for var in self.VARS) == after
+
 
 class TestAugmentSkipsBadImages:
     def test_truncated_image_is_skipped_like_align(self, tmp_path, capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from emotionforge.nn import init_params
-from emotionforge.rng import Prng
+from emotionforge.rng import _BLOCK, _GOLDEN, _mix64, Prng
 
 
 def _splitmix64(state: int):
@@ -16,6 +16,29 @@ def _splitmix64(state: int):
         z = (state ^ (state >> 30)) * 0xBF58476D1CE4E5B9 & mask
         z = (z ^ (z >> 27)) * 0x94D049BB133111EB & mask
         yield z ^ (z >> 31)
+
+
+class WholeArrayPrng(Prng):
+    """Each draw as one whole-array numpy expression: the oracle that the
+    block-wise draws of ``Prng`` reproduce bit for bit."""
+
+    def uint64(self, n):
+        i = np.arange(self._count + 1, self._count + n + 1, dtype=np.uint64)
+        self._count += n
+        return _mix64(np.uint64(self._key) + i * np.uint64(_GOLDEN))
+
+    def uniform(self, n):
+        return (self.uint64(n) >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+
+    def normal(self, n):
+        m = (n + 1) // 2
+        u = self.uniform(2 * m)
+        r = np.sqrt(-2.0 * np.log(u[0::2] + 2.0 ** -53))
+        theta = 2.0 * np.pi * u[1::2]
+        out = np.empty(2 * m, dtype=np.float64)
+        out[0::2] = r * np.cos(theta)
+        out[1::2] = r * np.sin(theta)
+        return out[:n]
 
 
 def test_splitmix64_reference_vector():
@@ -96,3 +119,45 @@ def test_recipe_golden_pins():
     for w in init_params(0, input_hw=16).weights:
         crc = zlib.crc32(w.tobytes(), crc)
     assert crc == 0x2267A657
+
+
+@pytest.mark.parametrize("draw", ["uint64", "uniform", "normal"])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1])
+@pytest.mark.parametrize("first", [0, 3])
+def test_block_wise_draws_equal_whole_array_draws(draw, n, first):
+    seed = 2**64 - 5
+    got, want = Prng(seed), WholeArrayPrng(seed)
+    got.uint64(first), want.uint64(first)
+    a, b = getattr(got, draw)(n), getattr(want, draw)(n)
+    assert a.dtype == b.dtype and a.shape == b.shape == (n,)
+    assert a.tobytes() == b.tobytes()
+    assert got.uint64(2).tolist() == want.uint64(2).tolist()
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 2 * _BLOCK - 1])
+def test_normal_consumes_one_word_per_normal_rounded_up_to_pairs(n):
+    p = Prng(99)
+    p.normal(n)
+    ref = _splitmix64(99)
+    words = [next(ref) for _ in range(2 * ((n + 1) // 2) + 1)]
+    assert p.uint64(1).tolist() == words[-1:]
+
+
+@pytest.mark.parametrize("seed, want", [(0, 0x38F759AE), (7, 0x342EB627)])
+def test_init_params_golden_pins_at_full_size(seed, want):
+    # fc1 alone is 2.1 M normals, so these draws cross many block edges
+    crc = 0
+    for w in init_params(seed, input_hw=128).weights:
+        crc = zlib.crc32(w.tobytes(), crc)
+    assert crc == want
+
+
+@pytest.mark.parametrize("method, args", [
+    ("uint64", (-1,)), ("uniform", (-2,)), ("normal", (-3,)), ("permutation", (-1,)),
+    ("choice", (-4, 2)), ("choice", (4, -1))])
+def test_negative_draw_size_is_rejected_before_the_stream_moves(method, args):
+    p = Prng(5)
+    p.uint64(3)
+    with pytest.raises(ValueError):
+        getattr(p, method)(*args)
+    assert p.uint64(2).tolist() == Prng(5).uint64(5).tolist()[3:]
