@@ -74,7 +74,9 @@ def _stem(path: str) -> str:
 
 
 def _each_image(cmd: str, in_dir: str, work) -> int:
-    """Run ``work(path, name)`` on each PGM in ``in_dir``, skipping bad data; count successes."""
+    """Run ``work(path, name)`` on each PGM in ``in_dir``, skipping bad data; count
+    successes. When any succeed, log the time taken in total and per success."""
+    begin = time.perf_counter()
     ok = 0
     for path in _pgm_files(in_dir):
         name = os.path.basename(path)
@@ -83,6 +85,9 @@ def _each_image(cmd: str, in_dir: str, work) -> int:
             ok += 1
         except _DATA_ERRORS as exc:
             _log(f"{cmd}: skipping {name}: {exc}")
+    if ok:
+        elapsed = time.perf_counter() - begin
+        _log(f"{cmd}: {elapsed:.4g}s total, {elapsed / ok:.4g} s/image")
     return ok
 
 
@@ -90,11 +95,7 @@ def cmd_align(args) -> int:
     def align_one(path, name):
         save_pgm(os.path.join(args.out, name), align_face(*_load_frame(path)).image)
 
-    begin = time.perf_counter()
     ok = _each_image("align", args.in_dir, align_one)
-    if ok:
-        elapsed = time.perf_counter() - begin
-        _log(f"align: {elapsed:.4g}s total, {elapsed / ok:.4g} s/image")
     print(f"aligned {ok} images")
     return EXIT_OK if ok > 0 else EXIT_DATA
 

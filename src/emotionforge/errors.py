@@ -28,7 +28,7 @@ class ZeroDimensionError(EmotionForgeError):
 
 
 class NonPositiveFactorError(EmotionForgeError):
-    """Brightness factor must be > 0."""
+    """Brightness factor must be finite and > 0."""
 
 
 # --- alignment ---

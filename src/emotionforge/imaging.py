@@ -118,9 +118,11 @@ def rgb_to_grayscale(rgb: np.ndarray) -> np.ndarray:
 
 def adjust_brightness(img: np.ndarray, factor: float) -> np.ndarray:
     """Multiply every pixel by ``factor``, round, clamp to [0, 255]."""
-    if not factor > 0:
-        raise NonPositiveFactorError(f"factor {factor} must be > 0")
-    return _to_u8(img.astype(np.float64) * factor)
+    if not 0 < factor < math.inf:
+        raise NonPositiveFactorError(f"factor {factor} must be finite and > 0")
+    # past 256 every nonzero pixel saturates at any factor; the cap keeps the
+    # product finite
+    return _to_u8(img.astype(np.float64) * min(factor, 256.0))
 
 
 # --- geometric ops ------------------------------------------------------------
@@ -200,24 +202,54 @@ def _gaussian_kernel_5x5(sigma: float = 1.5) -> np.ndarray:
 _GAUSSIAN_5X5 = _gaussian_kernel_5x5()
 
 
-def _windows_5x5(img: np.ndarray) -> np.ndarray:
-    """(h, w, 25) float64 copy of the 5x5 neighbourhoods, edges replicated."""
-    padded = np.pad(img, 2, mode="edge").astype(np.float64)
-    h, w = img.shape
-    return sliding_window_view(padded, (5, 5)).reshape(h, w, 25)
+# The 99 compare-exchanges of the opt_med25 network (N. Devillard, "Fast
+# median search", 1998): exchange (a, b) leaves the minimum on wire a and the
+# maximum on wire b, and afterwards wire 12 holds the 13th smallest of the 25
+# inputs. By the 0-1 principle that holds for all inputs if it holds for all
+# 2**25 inputs of 0s and 1s, which the tests check.
+_MEDIAN_25 = (
+    (0, 1), (3, 4), (2, 4), (2, 3), (6, 7), (5, 7), (5, 6), (9, 10), (8, 10), (8, 9),
+    (12, 13), (11, 13), (11, 12), (15, 16), (14, 16), (14, 15), (18, 19), (17, 19),
+    (17, 18), (21, 22), (20, 22), (20, 21), (23, 24), (2, 5), (3, 6), (0, 6), (0, 3),
+    (4, 7), (1, 7), (1, 4), (11, 14), (8, 14), (8, 11), (12, 15), (9, 15), (9, 12),
+    (13, 16), (10, 16), (10, 13), (20, 23), (17, 23), (17, 20), (21, 24), (18, 24),
+    (18, 21), (19, 22), (8, 17), (9, 18), (0, 18), (0, 9), (10, 19), (1, 19), (1, 10),
+    (11, 20), (2, 20), (2, 11), (12, 21), (3, 21), (3, 12), (13, 22), (4, 22), (4, 13),
+    (14, 23), (5, 23), (5, 14), (15, 24), (6, 24), (6, 15), (7, 16), (7, 19), (13, 21),
+    (15, 23), (7, 13), (7, 15), (1, 9), (3, 11), (5, 17), (11, 17), (9, 17), (4, 10),
+    (6, 12), (7, 14), (4, 6), (4, 7), (12, 14), (10, 14), (6, 7), (10, 12), (6, 10),
+    (6, 17), (12, 17), (7, 17), (7, 10), (12, 18), (7, 12), (10, 18), (12, 20), (10, 20),
+    (10, 12),
+)
 
 
-def _blur_windows(win: np.ndarray, kind: str) -> np.ndarray:
-    """``blur`` of the image whose ``_windows_5x5`` stack is ``win``."""
+def _median_25(wires: list[np.ndarray]) -> np.ndarray:
+    """Elementwise median of 25 same-shape arrays by the ``_MEDIAN_25`` network.
+    Each exchange makes new arrays, so the inputs may be views of one image."""
+    w = list(wires)
+    for a, b in _MEDIAN_25:
+        w[a], w[b] = np.minimum(w[a], w[b]), np.maximum(w[a], w[b])
+    return w[12]
+
+
+def _blur_padded(padded: np.ndarray, kind: str, win: np.ndarray | None = None) -> np.ndarray:
+    """``blur`` of the image whose 2-pixel edge-replicated copy is ``padded``.
+
+    The gaussian fills ``win``, a float64 (h, w, 5, 5) buffer made here when
+    None, with the 5x5 neighbourhoods and takes one matrix-vector product.
+    """
+    h, w = padded.shape[0] - 4, padded.shape[1] - 4
     if kind == "gaussian":
-        out = win @ _GAUSSIAN_5X5.ravel()
-    elif kind == "average":
-        out = win.mean(axis=-1)
-    elif kind == "median":
-        out = np.partition(win, 12, axis=-1)[..., 12]
-    else:
-        raise ValueError(f"unknown blur kind {kind!r}")
-    return _to_u8(out)
+        win = np.empty((h, w, 5, 5)) if win is None else win
+        np.copyto(win, sliding_window_view(padded.astype(np.float64), (5, 5)))
+        return _to_u8(win.reshape(h, w, 25) @ _GAUSSIAN_5X5.ravel())
+    if kind == "average":
+        wide = padded.astype(np.uint16)
+        rows = sum(wide[:, j : j + w] for j in range(5))
+        return _to_u8(sum(rows[i : i + h] for i in range(5)) / 25)
+    if kind == "median":
+        return _median_25([padded[i : i + h, j : j + w] for i in range(5) for j in range(5)])
+    raise ValueError(f"unknown blur kind {kind!r}")
 
 
 def blur(img: np.ndarray, kind: str) -> np.ndarray:
@@ -225,5 +257,12 @@ def blur(img: np.ndarray, kind: str) -> np.ndarray:
 
     gaussian: sigma 1.5, kernel normalized to sum 1; average: uniform 1/25;
     median: 13th order statistic of the 25 window values.
+
+    The median is a fixed compare-exchange network on uint8. The average is
+    an exact 5x5 box sum in uint16, divided by 25 and rounded once; no sum is
+    within 1/50 of a rounding boundary, so that is the exact quotient rounded.
+    The gaussian alone multiplies float64 windows by its kernel in one BLAS
+    matrix-vector product; its last bits follow that product's summation
+    order, so it keeps that call.
     """
-    return _blur_windows(_windows_5x5(img), kind)
+    return _blur_padded(np.pad(img, 2, mode="edge"), kind)

@@ -27,7 +27,7 @@ import numpy as np
 
 _MASK = 0xFFFFFFFFFFFFFFFF
 _GOLDEN = 0x9E3779B97F4A7C15
-_BLOCK = 1 << 15    # words per block of a uniform or normal draw: 256 KiB
+_BLOCK = 1 << 15    # words per block of a draw: 256 KiB
 
 
 def _mix64(z):
@@ -61,17 +61,20 @@ class Prng:
     def uint64(self, n: int) -> np.ndarray:
         """The next n 64-bit words as a uint64 array."""
         _check_size(n)
-        z = np.arange(self._count + 1, self._count + n + 1, dtype=np.uint64)
+        out = np.empty(n, dtype=np.uint64)
+        for i in range(0, n, _BLOCK):
+            z = out[i : i + _BLOCK]
+            z[:] = np.arange(self._count + i + 1, self._count + i + len(z) + 1, dtype=np.uint64)
+            # _mix64 in place: uint64 multiplies wrap mod 2**64 without a mask
+            z *= np.uint64(_GOLDEN)
+            z += np.uint64(self._key)
+            z ^= z >> np.uint64(30)
+            z *= np.uint64(0xBF58476D1CE4E5B9)
+            z ^= z >> np.uint64(27)
+            z *= np.uint64(0x94D049BB133111EB)
+            z ^= z >> np.uint64(31)
         self._count += n
-        # _mix64 in place: uint64 multiplies wrap mod 2**64 without a mask
-        z *= np.uint64(_GOLDEN)
-        z += np.uint64(self._key)
-        z ^= z >> np.uint64(30)
-        z *= np.uint64(0xBF58476D1CE4E5B9)
-        z ^= z >> np.uint64(27)
-        z *= np.uint64(0x94D049BB133111EB)
-        z ^= z >> np.uint64(31)
-        return z
+        return out
 
     def uniform(self, n: int) -> np.ndarray:
         """n doubles in [0, 1)."""

@@ -71,6 +71,9 @@ def test_scaling_law():
     augment.AugmentSpec(blur_kinds=("gaussian", "average", "median", "gaussian")),
     augment.AugmentSpec(brightness_factors=(-1.0, 0.2, 0.3, 0.4, 0.5, 0.6, 1.0)),
     augment.AugmentSpec(blur_kinds=("none", "gaussian", "average", "box")),
+    augment.AugmentSpec(brightness_factors=(float("nan"), 0.2, 0.3, 0.4, 0.5, 0.6, 1.0)),
+    augment.AugmentSpec(brightness_factors=(0.1, 0.2, 0.3, 0.4, 0.5, float("inf"), 1.0)),
+    augment.AugmentSpec(brightness_factors=(float("-inf"), 0.2, 0.3, 0.4, 0.5, 0.6, 1.0)),
 ])
 def test_invalid_specs(spec):
     with pytest.raises(InvalidSpecError):
@@ -134,6 +137,14 @@ def test_variants_equal_brightness_then_blur(spec, name):
 @pytest.mark.parametrize("kind", imaging.BLUR_KINDS)
 def test_blur_equals_stacked_windows(kind, name):
     img = ORACLE_IMAGES[name]
+    assert imaging.blur(img, kind).tobytes() == blur_oracle(img, kind).tobytes()
+
+
+@settings(max_examples=200)
+@given(st.sampled_from(imaging.BLUR_KINDS), st.integers(1, 40), st.integers(1, 40),
+       st.binary(min_size=1600, max_size=1600))
+def test_blur_equals_stacked_windows_on_any_shape(kind, h, w, pixels):
+    img = np.frombuffer(pixels[: h * w], dtype=np.uint8).reshape(h, w)
     assert imaging.blur(img, kind).tobytes() == blur_oracle(img, kind).tobytes()
 
 

@@ -1,5 +1,6 @@
 import io
 import os
+import re
 import select
 import subprocess
 import sys
@@ -106,6 +107,33 @@ class TestAugment:
         (tmp_path / "in").mkdir()
         (tmp_path / "out").mkdir()
         assert main(["augment", str(tmp_path / "in"), "--out", str(tmp_path / "out")]) == 2
+
+
+class TestTimingLog:
+    def test_align_and_augment_log_their_time_per_image(self, tmp_path, capsys):
+        raw, aligned, out = tmp_path / "raw", tmp_path / "aligned", tmp_path / "out"
+        raw.mkdir(), aligned.mkdir(), out.mkdir()
+        for i in range(2):
+            write_face_pair(raw, f"f{i}")
+        assert main(["align", str(raw), "--out", str(aligned)]) == 0
+        assert main(["augment", str(aligned), "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "aligned 2 images\nwrote 56 variants from 2 images\n"
+        lines = captured.err.splitlines()
+        assert len(lines) == 2
+        for cmd, line in zip(("align", "augment"), lines):
+            m = re.fullmatch(rf"{cmd}: (\S+)s total, (\S+) s/image", line)
+            assert m, line
+            total, per_image = float(m[1]), float(m[2])
+            assert 0 < per_image == pytest.approx(total / 2, rel=1e-3)
+
+    def test_no_time_line_when_nothing_succeeds(self, tmp_path, capsys):
+        (tmp_path / "in").mkdir(), (tmp_path / "out").mkdir()
+        (tmp_path / "in" / "bad.pgm").write_bytes(b"P5\n4 4\n255\n" + bytes(3))
+        for cmd in ("align", "augment"):
+            assert main([cmd, str(tmp_path / "in"), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "total" not in err and err.count("skipping bad.pgm") == 2
 
 
 class TestTrain:

@@ -1,6 +1,7 @@
 import fnmatch
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -253,6 +254,26 @@ class TestBrightness:
         with pytest.raises(NonPositiveFactorError):
             imaging.adjust_brightness(np.zeros((2, 2), dtype=np.uint8), 0.0)
 
+    @pytest.mark.parametrize("factor", [math.nan, math.inf, -math.inf])
+    def test_non_finite_factor(self, factor):
+        with pytest.raises(NonPositiveFactorError):
+            imaging.adjust_brightness(np.zeros((2, 2), dtype=np.uint8), factor)
+
+    def test_huge_factor_saturates_without_overflow(self):
+        img = np.array([[0, 1, 255]], dtype=np.uint8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert imaging.adjust_brightness(img, 1e308).tolist() == [[0, 255, 255]]
+
+    @settings(max_examples=300)
+    @given(st.binary(min_size=1, max_size=64),
+           st.floats(min_value=0, max_value=1e308, exclude_min=True))
+    def test_equals_per_pixel_formula(self, pixels, factor):
+        img = np.frombuffer(pixels, dtype=np.uint8).reshape(1, -1)
+        # floor(v * factor + 0.5) clamped to [0, 255], one Python float at a time
+        want = [min(math.floor(min(v * factor + 0.5, 256.0)), 255) for v in pixels]
+        assert imaging.adjust_brightness(img, factor).ravel().tolist() == want
+
 
 def reference_resize(img, out_w, out_h):
     """Brute-force per-pixel resize used as the oracle for resize_bilinear."""
@@ -360,6 +381,26 @@ class TestBlur:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             imaging.blur(np.zeros((3, 3), dtype=np.uint8), "box")
+
+    def test_average_rounds_every_box_sum_exactly(self):
+        # every 5x5 box sum of uint8 pixels is in 0..6375; its float quotient
+        # must round as the exact one does, (2s + 25) // 50
+        sums = np.arange(25 * 255 + 1)
+        assert (imaging._to_u8(sums / 25) == (2 * sums + 25) // 50).all()
+
+
+class TestMedianNetwork:
+    def test_median_of_every_zero_one_input(self):
+        """Wire 12 is the median for each of the 2**25 inputs of 0s and 1s, so by
+        the 0-1 principle for every input. Wires 0-19 count through 2**20 in each
+        of 32 blocks; wires 20-24 are the block number's bits."""
+        count = np.arange(1 << 20, dtype=np.uint32)
+        low = [((count >> k) & 1).astype(np.uint8) for k in range(20)]
+        ones_low = sum(low)
+        for block in range(32):
+            high = [np.full(1 << 20, (block >> k) & 1, dtype=np.uint8) for k in range(5)]
+            want = ones_low + block.bit_count() >= 13
+            assert np.array_equal(imaging._median_25(low + high), want), block
 
 
 class TestWarpWindow:

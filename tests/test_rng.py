@@ -121,7 +121,7 @@ def test_recipe_golden_pins():
     assert crc == 0x2267A657
 
 
-@pytest.mark.parametrize("draw", ["uint64", "uniform", "normal"])
+@pytest.mark.parametrize("draw", ["uint64", "uniform", "normal", "permutation"])
 @pytest.mark.parametrize("n", [0, 1, 2, 3, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1])
 @pytest.mark.parametrize("first", [0, 3])
 def test_block_wise_draws_equal_whole_array_draws(draw, n, first):
