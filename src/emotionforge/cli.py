@@ -44,7 +44,7 @@ from . import dataset, evaluate, stream, train
 from .alignment import align_face, read_landmarks, sidecar_path
 from .dataset import MODES
 from .errors import EmotionForgeError, MissingSidecarError
-from .imaging import load_pgm, save_pgm
+from .imaging import atomic_write, load_pgm, save_pgm
 from .loss import sigmoid
 
 EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_INTERNAL = 0, 1, 2, 3
@@ -126,10 +126,11 @@ def _replicate_manifest(manifest_in, manifest_out, variant_paths) -> None:
     path is relative to the output manifest, as ``dataset.load_manifest`` reads it."""
     rows = list(dataset.manifest_rows(manifest_in))  # before the output file exists
     base = os.path.dirname(os.path.abspath(manifest_out))
-    with open(manifest_out, "w", encoding="utf-8") as dst:
+    with atomic_write(manifest_out) as dst:
         for _, fields in rows:
             for path in variant_paths.get(_stem(fields[0]), []):
-                dst.write(",".join([os.path.relpath(path, base)] + fields[1:]) + "\n")
+                line = ",".join([os.path.relpath(path, base)] + fields[1:]) + "\n"
+                dst.write(line.encode("utf-8"))
 
 
 def cmd_train(args) -> int:
@@ -147,9 +148,9 @@ def cmd_train(args) -> int:
              f"val loss {rec.loss:.4f} accuracy {rec.accuracy:.4f}")
     train.save_model(ckpt.params, args.out)
     if args.history:
-        with open(args.history, "w") as f:
+        with atomic_write(args.history) as f:
             for i, lv in enumerate(history.train_loss, start=1):
-                f.write(f"{i},{lv}\n")
+                f.write(f"{i},{lv}\n".encode())
     last_val = history.val_records[-1]
     print(f"trained {config.max_iterations} iterations; "
           f"final val loss {last_val.loss:.4f} accuracy {last_val.accuracy:.4f}; "

@@ -148,6 +148,15 @@ def init_params(seed: int, input_hw: int = 128, mode: str = "classification") ->
 _CHUNK_BYTES = 1 << 20
 
 
+# conv2d_backward copies dw's patch matrix in row blocks of about this many
+# bytes, not whole (26-75 MB at batch 64). Each block is one GEMM over the
+# full N*ho*wo reduction. That gives the whole product's bits only while the
+# BLAS runs each block on the kernel it would run the whole product on:
+# OpenBLAS does for blocks this large at EMO-NET's shapes, but not for
+# blocks of a few columns.
+_BLOCK_BYTES = 16 << 20
+
+
 def _chunks(n: int, sample_bytes: int) -> list[slice]:
     """Slices of a batch of ``n`` covering ~``_CHUNK_BYTES`` each, at least one sample."""
     step = max(1, _CHUNK_BYTES // sample_bytes)
@@ -207,11 +216,14 @@ def conv2d_backward(x: np.ndarray, w: np.ndarray, upstream: np.ndarray,
                     input_grad: bool = True) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients (dx, dw, db) of conv2d_forward.
 
-    Without ``input_grad`` dx is not computed and comes back empty. ``dw`` is
-    one GEMM over the whole batch, against the patches copied once as a
-    (C*kh*kw, N*ho*wo) matrix: the product ``np.tensordot`` would form, less
-    its second copy of the patches. Splitting that GEMM's inner dimension
-    would change its bits. dx is per sample, so it walks the batch in
+    Without ``input_grad`` dx is not computed and comes back empty. The
+    upstream gradient is read as a (K, N*ho*wo) matrix, a view when it is
+    channel-major as ``maxpool_backward`` returns it. ``dw`` multiplies it by
+    the patch matrix, copied in ``_BLOCK_BYTES`` row blocks of whole
+    (channel, kernel row) groups, one GEMM per block. ``db`` adds as
+    ``upstream.sum(axis=(0, 2, 3))`` does in C order: pairwise per (sample,
+    channel) plane, then plane by plane over the batch; with one channel,
+    pairwise over all of it. dx is per sample, so it walks the batch in
     cache-sized chunks: each chunk's patch gradients are one stacked GEMM,
     then summed into the padded input gradient tap by tap, in the same
     (i, j) order for every chunk.
@@ -221,14 +233,24 @@ def conv2d_backward(x: np.ndarray, w: np.ndarray, upstream: np.ndarray,
     _, ku, ho, wo = upstream.shape
     if ku != k or upstream.shape[0] != n:
         raise ShapeMismatchError("upstream shape does not match forward output")
+    u = upstream.transpose(1, 0, 2, 3).reshape(k, n * ho * wo)
+    db = (u.sum(axis=1) if k == 1
+          else np.add.accumulate(u.reshape(k, n, -1).sum(axis=2), axis=1)[:, -1])
     xp = _pad(x, pad)
-    cols = _patch_windows(xp, kh, kw, stride, ho, wo).transpose(1, 2, 3, 0, 4, 5)
-    cols = cols.reshape(c * kh * kw, n * ho * wo)
-    dw = (upstream.transpose(1, 0, 2, 3).reshape(k, n * ho * wo) @ cols.T).reshape(w.shape)
-    db = upstream.sum(axis=(0, 2, 3))
+    win = _patch_windows(xp, kh, kw, stride, ho, wo).transpose(1, 2, 3, 0, 4, 5)
+    dw = np.empty((k, c * kh * kw), dtype=np.result_type(upstream, x))
+    blocks = -(-c * kh * kw * u.shape[1] * x.itemsize // _BLOCK_BYTES)
+    step = -(-c * kh // blocks)  # groups per block, as even as whole groups allow
+    buf = np.empty((step * kw, u.shape[1]), dtype=x.dtype)
+    for g0 in range(0, c * kh, step):
+        rows = buf[: (min(g0 + step, c * kh) - g0) * kw]
+        for g, group in enumerate(rows.reshape(-1, kw, n, ho, wo), start=g0):
+            group[...] = win[divmod(g, kh)]
+        np.matmul(u, rows.T, out=dw[:, g0 * kw : g0 * kw + len(rows)])
+    dw = dw.reshape(w.shape)
     if not input_grad:
         return np.empty(0, dtype=x.dtype), dw, db
-    del cols  # free the batch-sized patch copy before dx is built
+    del buf, rows, group  # free the patch block before dx is built
     up = upstream.reshape(n, k, ho * wo)
     w2t = w.reshape(k, -1).T
     dxp = np.zeros_like(xp)
@@ -248,8 +270,10 @@ def relu_forward(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0)
 
 
-def relu_backward(x: np.ndarray, upstream: np.ndarray) -> np.ndarray:
-    return upstream * (x > 0)  # subgradient 0 at 0
+def relu_backward(y: np.ndarray, upstream: np.ndarray) -> np.ndarray:
+    """``upstream`` where ``y`` > 0, else 0. ``y`` is the relu's input or output:
+    they are > 0 at the same elements, NaN and -0 included."""
+    return upstream * (y > 0)
 
 
 def _pool_views(x: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -283,23 +307,28 @@ def maxpool_forward(x: np.ndarray,
         # goes second: the output is then the argmax element, down to a zero's sign
         top, bottom = np.maximum(b, a), np.maximum(d, c)
         np.maximum(bottom, top, out=out[sl])
-        if argmax:
-            idx[sl] = np.where(bottom > top, (d > c).view(np.int8) + np.int8(2),
-                               (b > a).view(np.int8))
+        if argmax:  # lo + (bottom > top) * (hi - lo + 2), with lo, hi in {0, 1}
+            lo, i = (b > a).view(np.int8), idx[sl]
+            np.subtract((d > c).view(np.int8), lo, out=i)
+            i += 2
+            i *= bottom > top
+            i += lo
     return out, idx
 
 
 def maxpool_backward(x_shape: tuple, idx: np.ndarray, upstream: np.ndarray) -> np.ndarray:
     """Route each window's gradient to its argmax position, +0 elsewhere.
 
-    Each of the four strided views of ``dx`` gets the bits of
-    ``np.where(idx == k, upstream, 0)``, written as ``upstream``'s bits ANDed
-    with an all-ones or all-zeros mask: one pass per view and no temporary
-    the size of ``upstream``. The batch is walked in cache-sized chunks, so
-    each chunk's four passes read ``idx`` and ``upstream`` from cache.
+    The result is an (N, C, H, W) view of (C, N, H, W) storage, which
+    ``conv2d_backward`` reads as a matrix without a copy. Each of the four
+    strided views of ``dx`` gets the bits of ``np.where(idx == k, upstream,
+    0)``, written as ``upstream``'s bits ANDed with an all-ones or all-zeros
+    mask: one pass per view and no temporary the size of ``upstream``. The
+    batch is walked in cache-sized chunks, so each chunk's four passes read
+    ``idx`` and ``upstream`` from cache.
     """
     n, c, h, w = x_shape
-    dx = np.empty(x_shape, dtype=upstream.dtype)
+    dx = np.empty((c, n, h, w), dtype=upstream.dtype).transpose(1, 0, 2, 3)
     as_int = np.dtype(f"i{upstream.itemsize}")
     bits = upstream.view(as_int)
     for sl in _chunks(n, c * h * w * dx.itemsize):
@@ -359,16 +388,17 @@ def _forward_walk(params: ModelParams, x: np.ndarray, rng: Prng | None = None,
     earlier train-mode pass), ReLU masks and maxpool argmax are taken from it
     instead of from ``x``. Without ``keep`` no cache is built, so each
     activation is freed as soon as the next layer has read it, no maxpool
-    argmax is computed, and caches is None.
+    argmax is computed, and caches is None. A relu keeps its output, which
+    the next layer keeps as its input anyway.
     """
     caches = [] if keep else None
     for i, (spec, w, b) in enumerate(_layer_params(params)):
         routing = None if frozen is None else frozen[i][1]
-        cache = x  # conv, relu and fc keep their input for backward
+        cache = x  # conv and fc keep their input for backward
         if spec.kind == CONV:
             x = conv2d_forward(x, w, b, spec.stride, spec.pad)
         elif spec.kind == RELU:
-            x = relu_forward(x) if routing is None else x * (routing > 0)
+            x = cache = relu_forward(x) if routing is None else x * (routing > 0)
         elif spec.kind == MAXPOOL:
             if routing is None:
                 x, idx = maxpool_forward(x, argmax=keep)

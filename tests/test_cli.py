@@ -10,7 +10,7 @@ import pytest
 
 from emotionforge import alignment, cli, dataset, imaging, train
 from emotionforge.cli import main
-from helpers import make_toy_corpus, separator_model, synthetic_face, toy_pattern
+from helpers import fill_disk_after, make_toy_corpus, separator_model, synthetic_face, toy_pattern
 from emotionforge.rng import Prng
 
 
@@ -352,6 +352,27 @@ class TestEvalLoop:
         assert len(decoded) == 10
 
 
+# The SHA-256 of the logits and gradients of one batch-16 train step of the
+# 128x128 net. Importing the CLI first applies EMOTION_FORGE_THREADS before
+# numpy loads.
+GRADIENT_DIGEST = """
+import hashlib
+import emotionforge.cli
+import numpy as np
+from emotionforge import nn
+from emotionforge.rng import Prng
+p = nn.init_params(seed=5)
+x = Prng(6).uniform(16 * 128 * 128).reshape(16, 1, 128, 128).astype(np.float32)
+logits, caches = nn.forward(p, x, mode="train", rng=Prng.derive(5, 2, 0))
+dl = (Prng(7).normal(logits.size).reshape(logits.shape) * 0.1).astype(np.float32)
+dws, dbs = nn.backward(p, caches, dl)
+h = hashlib.sha256(logits.tobytes())
+for g in dws + dbs:
+    h.update(g.tobytes())
+print(h.hexdigest())
+"""
+
+
 class TestThreadCount:
     def test_model_bytes_do_not_depend_on_thread_cap(self, tmp_path):
         # the real 128x128 net: small GEMMs may never reach BLAS threading
@@ -369,6 +390,19 @@ class TestThreadCount:
                            env=env, check=True, capture_output=True, timeout=300)
             models.append(out.read_bytes())
         assert models[0] == models[1]
+
+    def test_gradients_do_not_depend_on_thread_cap_at_batch_16(self):
+        # batch 16 makes the conv GEMMs large enough to reach BLAS threading
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        digests = []
+        for threads in ("1", "2"):
+            env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+            env["EMOTION_FORGE_THREADS"] = threads
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            run = subprocess.run([sys.executable, "-c", GRADIENT_DIGEST], env=env, check=True,
+                                 capture_output=True, text=True, timeout=300)
+            digests.append(run.stdout)
+        assert len(digests[0]) == 65 and digests[0] == digests[1]
 
     VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
             "NUMEXPR_NUM_THREADS")
@@ -439,6 +473,58 @@ class TestReplicatedManifestPaths:
         assert len(samples) == 56
         assert all(os.path.exists(s.image_path) for s in samples)
         assert {os.path.dirname(os.path.normpath(s.image_path)) for s in samples} == {str(dst)}
+
+
+class TestAtomicTextArtifacts:
+    """A disk that fills while ``--history`` or ``--manifest-out`` is written
+    leaves the old file as it was, and no temporary file beside it."""
+
+    def test_history(self, tmp_path, monkeypatch):
+        man, vman = make_toy_corpus(tmp_path, n=16, n_train=12, seed=4)
+        out = tmp_path / "out"
+        out.mkdir()
+        hist = out / "hist.csv"
+        hist.write_bytes(b"old history\n")
+        listings = []
+        save_model = train.save_model
+
+        def save_then_fill_disk(params, path):
+            save_model(params, path)
+            listings.append(fill_disk_after(monkeypatch, 10))
+
+        monkeypatch.setattr(train, "save_model", save_then_fill_disk)
+        assert main(["train", man, "--val-manifest", vman, "--out", str(out / "m.emo"),
+                     "--history", str(hist), "--iterations", "2", "--batch-size", "4",
+                     "--checkpoint-every", "2", "--seed", "7"]) == 2
+        assert hist.read_bytes() == b"old history\n"
+        assert sorted(os.listdir(out)) == ["hist.csv", "m.emo"]
+        [[written]] = listings  # one failure, in a temporary file beside the old one
+        assert len(written) == 3 and any(name.endswith(".tmp") for name in written)
+
+    def test_manifest_out(self, tmp_path, monkeypatch):
+        src, dst, lists = tmp_path / "in", tmp_path / "out", tmp_path / "lists"
+        src.mkdir(), dst.mkdir(), lists.mkdir()
+        imaging.save_pgm(src / "a.pgm", toy_pattern(0, Prng(6)))
+        manifest = tmp_path / "m.csv"
+        manifest.write_text("a.pgm,angry\n")
+        mout = lists / "m_aug.csv"
+        mout.write_bytes(b"old manifest\n")
+        listings = []
+        each_image = cli._each_image
+
+        def augment_then_fill_disk(*args):
+            ok = each_image(*args)
+            listings.append(fill_disk_after(monkeypatch, 10))
+            return ok
+
+        monkeypatch.setattr(cli, "_each_image", augment_then_fill_disk)
+        assert main(["augment", str(src), "--out", str(dst),
+                     "--manifest", str(manifest), "--manifest-out", str(mout)]) == 2
+        assert len(os.listdir(dst)) == 28
+        assert mout.read_bytes() == b"old manifest\n"
+        assert os.listdir(lists) == ["m_aug.csv"]
+        [[written]] = listings
+        assert len(written) == 2 and any(name.endswith(".tmp") for name in written)
 
 
 class TestTrainDefaults:

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -714,3 +716,129 @@ class TestSubnormalFlush:
         ref_dws, ref_dbs = nn.backward(p, nn.forward(p, x, mode="train")[1], flushed)
         for g, ref in zip(dws + dbs, ref_dws + ref_dbs):
             assert same_bits(g, ref)
+
+
+# --- the lean backward: channel-major pool gradient, dw in row blocks, db's order ---
+
+def channel_major(a):
+    """``a`` with the same values, stored as (C, N, H, W) like maxpool_backward's dx."""
+    return np.ascontiguousarray(a.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
+
+
+def whole_gemm_dw(x, w, upstream, stride, pad):
+    """dw as one GEMM against the whole (C*kh*kw, N*ho*wo) patch copy."""
+    n, c, _, _ = x.shape
+    k, _, kh, kw = w.shape
+    _, _, ho, wo = upstream.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    cols = nn._patch_windows(xp, kh, kw, stride, ho, wo).transpose(1, 2, 3, 0, 4, 5)
+    u = upstream.transpose(1, 0, 2, 3).reshape(k, -1)
+    return (u @ cols.reshape(c * kh * kw, -1).T).reshape(w.shape)
+
+
+def plant_signed_zeros(up):
+    """Scattered -0 and +0, a plane of -0 and a plane of +0, in place."""
+    flat = up.reshape(-1)
+    flat[::7] = -0.0
+    flat[3::11] = 0.0
+    up[0, 0] = -0.0
+    up[-1, -1] = 0.0
+    return up
+
+
+GRAD_CHECK_CONVS = list(zip([s for s in nn.emo_net_layers(16) if s.kind == nn.CONV], (16, 4, 2)))
+
+
+class TestLeanBackward:
+    """The backward's memory savings change no bit."""
+
+    @pytest.mark.parametrize("layout", [channel_major, np.ascontiguousarray])
+    @pytest.mark.parametrize("spec,hw,n,dtype", [
+        *[(s, hw, n, np.float32) for n in (64, 48, 16, 1) for s, hw in REAL_CONVS],
+        *[(s, hw, 2, np.float64) for s, hw in GRAD_CHECK_CONVS],
+    ], ids=[f"{name}-b{n}" for n in (64, 48, 16, 1) for name in ("conv1", "conv2", "conv3")]
+       + ["check-conv1", "check-conv2", "check-conv3"])
+    def test_row_blocked_dw_is_one_whole_gemm(self, spec, hw, n, dtype, layout):
+        x = rnd((n, spec.in_ch, hw, hw), 80, dtype=dtype)
+        w = rnd(spec.weight_shape, 81, dtype=dtype)
+        ho, wo = nn.conv_out_hw(hw, hw, spec)
+        up = layout(plant_signed_zeros(rnd((n, spec.out_ch, ho, wo), 82, dtype=dtype)))
+        _, dw, _ = nn.conv2d_backward(x, w, up, spec.stride, spec.pad, input_grad=False)
+        assert same_bits(dw, whole_gemm_dw(x, w, up, spec.stride, spec.pad))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("layout", [channel_major, np.ascontiguousarray])
+    @pytest.mark.parametrize("shape", [
+        (64, 32, 64, 64), (64, 64, 32, 32), (64, 128, 16, 16),
+        (1, 32, 64, 64), (1, 64, 32, 32), (1, 128, 16, 16),
+        (2, 32, 8, 8), (2, 64, 4, 4), (2, 128, 2, 2),
+        (5, 1, 6, 6), (64, 1, 64, 64), (6, 4, 1, 1), (6, 1, 1, 1), (1, 5, 3, 3), (1, 1, 1, 1),
+    ])
+    def test_db_sums_in_numpys_c_order(self, shape, layout, dtype):
+        n, k, ho, wo = shape
+        up = layout(plant_signed_zeros(rnd(shape, 83, dtype=dtype)))
+        # a 1x1 conv on one channel gives an upstream of any shape
+        x = rnd((n, 1, ho, wo), 84, dtype=dtype)
+        w = rnd((k, 1, 1, 1), 85, dtype=dtype)
+        _, _, db = nn.conv2d_backward(x, w, up, 1, 0, input_grad=False)
+        assert same_bits(db, np.ascontiguousarray(up).sum(axis=(0, 2, 3)))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_channel_major_maxpool_backward_equals_where(self, dtype):
+        x = plant_ties_and_nans(rnd((3, 4, 8, 8), 86, dtype=dtype), {0, 2})
+        _, idx = nn.maxpool_forward(x)
+        up = plant_signed_zeros(rnd(idx.shape, 87, dtype=dtype))
+        up.reshape(-1)[2::9] = np.nan
+        up.reshape(-1)[5::13] = -np.nan
+        dx = nn.maxpool_backward(x.shape, idx, up)
+        ref = np.empty(x.shape, dtype=dtype)
+        for k, view in enumerate(nn._pool_views(ref)):
+            view[...] = np.where(idx == k, up, 0)
+        assert same_bits(dx, ref)
+        assert dx.transpose(1, 0, 2, 3).flags.c_contiguous  # conv reads it as a view
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_relu_backward_reads_output_as_input(self, dtype):
+        tiny = np.finfo(dtype).tiny
+        vals = np.array([np.nan, -np.nan, 0.0, -0.0, tiny / 4, -tiny / 4, tiny, -tiny,
+                         np.inf, -np.inf, 1.5, -1.5], dtype=dtype)
+        x, up = np.meshgrid(vals, vals)  # every input against every upstream value
+        with np.errstate(invalid="ignore"):  # inf * 0
+            assert same_bits(nn.relu_backward(nn.relu_forward(x), up), nn.relu_backward(x, up))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_int8_argmax_equals_where_formula(self, dtype):
+        # every window over a set with ties, both zeros and NaN
+        vals = np.array([-2.0, -1.0, -0.0, 0.0, 1.0, np.nan], dtype=dtype)
+        x = np.array(list(itertools.product(vals, repeat=4)), dtype=dtype).reshape(1, -1, 2, 2)
+        _, idx = nn.maxpool_forward(x)
+        a, b, c, d = nn._pool_views(x)
+        top, bottom = np.maximum(b, a), np.maximum(d, c)
+        ref = np.where(bottom > top, (d > c).view(np.int8) + np.int8(2), (b > a).view(np.int8))
+        assert same_bits(idx, ref)
+
+    def test_train_step_memory_peak(self):
+        import tracemalloc
+
+        p = nn.init_params(seed=13)
+        x = rnd((64, 1, 128, 128), 88, dtype=np.float32)
+        dl = rnd((64, nn.NUM_CLASSES), 89, dtype=np.float32)
+        tracemalloc.start()
+        try:
+            _, caches = nn.forward(p, x, mode="train", rng=Prng.derive(13, 2, 0))
+            nn.backward(p, caches, dl)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # whole-batch patch and transpose copies would take it to ~153 MiB
+        assert peak <= 120 * 2**20
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_zero_dlogits_give_no_negative_zero(self, dtype):
+        # inputs of both signs, so products with a +0 gradient are -0
+        p = nn.init_params(seed=14).astype(dtype)
+        x = rnd((2, 1, 128, 128), 90, dtype=dtype)
+        logits, caches = nn.forward(p, x, mode="train", rng=Prng.derive(14, 2, 0))
+        dws, dbs = nn.backward(p, caches, np.zeros_like(logits))
+        assert len(dws + dbs) == 10
+        assert not any(np.signbit(g).any() for g in dws + dbs)
