@@ -6,7 +6,7 @@ CLI can configure BLAS threading first):
     imaging    PGM codec, resize, rotation, brightness, blur
     alignment  landmark-based face alignment to 128x128
     augment    deterministic 28-way brightness/blur fan-out
-    dataset    manifests, labels, sequence sampling, batch decoding
+    dataset    manifests, labels, batch decoding
     nn         layer primitives and the EMO-NET architecture
     loss       softmax / sigmoid cross-entropy with gradients
     train      SGD loop and its batch order, model files, gradient checking

@@ -23,7 +23,7 @@ from .imaging import BLUR_KINDS, _blur_padded, adjust_brightness, blur
 
 DEFAULT_BRIGHTNESS_FACTORS = (0.55, 0.70, 0.85, 1.00, 1.15, 1.30, 1.45)
 DEFAULT_BLUR_KINDS = ("none",) + BLUR_KINDS
-_LEVELS = np.arange(256, dtype=np.uint8)  # the identity table: every pixel value
+_LEVELS = np.arange(256, dtype=np.uint8)  # every pixel value
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,7 @@ def variants(img: np.ndarray, spec: AugmentSpec) -> list[tuple[str, np.ndarray]]
     win = np.empty(img.shape + (5, 5))  # the gaussians' window buffer
     out = []
     for factor in spec.brightness_factors:
-        lut = _LEVELS if factor == 1.0 else adjust_brightness(_LEVELS, factor)
+        lut = adjust_brightness(_LEVELS, factor)
         bright_padded = lut.take(padded)
         for kind in spec.blur_kinds:
             if kind == "none":

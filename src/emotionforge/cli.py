@@ -101,8 +101,8 @@ def cmd_align(args) -> int:
 
 
 def cmd_augment(args) -> int:
-    if args.manifest and not args.manifest_out:
-        raise _UsageError("--manifest needs --manifest-out")
+    if bool(args.manifest) != bool(args.manifest_out):
+        raise _UsageError("--manifest and --manifest-out go together")
     spec = aug.default_spec()
     variant_paths: dict[str, list[str]] = {}  # by stem
 

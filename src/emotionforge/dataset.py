@@ -22,11 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    ApexOnBoundaryError,
     ManifestParseError,
     MissingIntensityColumnError,
     OutOfRangeIntensityError,
-    TooFewFramesError,
     UnalignedImageError,
     UnknownClassNameError,
 )
@@ -90,37 +88,6 @@ def intensity_label(cls: EmotionClass, k: float) -> np.ndarray:
 def sequence_intensities() -> np.ndarray:
     """The 9 sequence targets: 20% up to 100% and back down in 20% steps."""
     return np.array([0.2, 0.4, 0.6, 0.8, 1.0, 0.8, 0.6, 0.4, 0.2])
-
-
-def select_sequence_frames(n: int, apex: int) -> list[int]:
-    """Pick 9 strictly increasing frame indices matching the target intensities.
-
-    The sequence is modeled as intensity rising linearly 0 -> 1 over frames
-    [0, apex] and falling 1 -> 0 over [apex, n-1]. On each side, targets are
-    matched greedily to the nearest-by-intensity frame (ties to the earlier
-    frame) within a window that leaves room for the picks still to come, so
-    the result is always strictly increasing.
-    """
-    if n < 9:
-        raise TooFewFramesError(f"{n} frames, need at least 9")
-    if apex < 4 or apex > n - 5:
-        raise ApexOnBoundaryError(
-            f"apex {apex} leaves no room for 4 picks on each side of {n} frames")
-
-    def side(targets, lo, hi, intensity):
-        picks = []
-        prev = lo - 1
-        for k, t in enumerate(targets):
-            window = range(prev + 1, hi - (len(targets) - 1 - k) + 1)
-            # min keeps the first (earliest) frame on a tie
-            prev = min(window, key=lambda f: abs(intensity(f) - t))
-            picks.append(prev)
-        return picks
-
-    rising = side([0.2, 0.4, 0.6, 0.8], 0, apex - 1, lambda f: f / apex)
-    falling = side([0.8, 0.6, 0.4, 0.2], apex + 1, n - 1,
-                   lambda f: (n - 1 - f) / (n - 1 - apex))
-    return rising + [apex] + falling
 
 
 def manifest_rows(path):

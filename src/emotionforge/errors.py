@@ -61,14 +61,6 @@ class OutOfRangeIntensityError(EmotionForgeError):
     """Intensity value outside (0, 1]."""
 
 
-class TooFewFramesError(EmotionForgeError):
-    """Sequence has fewer than 9 frames."""
-
-
-class ApexOnBoundaryError(EmotionForgeError):
-    """Apex frame too close to the sequence boundary to place all 9 picks."""
-
-
 class ManifestParseError(EmotionForgeError):
     """Manifest line failed to parse; message carries the line number."""
 

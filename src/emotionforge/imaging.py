@@ -29,13 +29,8 @@ from .errors import (
 BLUR_KINDS = ("gaussian", "average", "median")
 
 
-def round_half_up(x: np.ndarray) -> np.ndarray:
-    """Round-half-away-from-zero for non-negative values."""
-    return np.floor(x + 0.5)
-
-
 def _to_u8(x: np.ndarray) -> np.ndarray:
-    return np.clip(round_half_up(x), 0, 255).astype(np.uint8)
+    return np.clip(np.floor(x + 0.5), 0, 255).astype(np.uint8)
 
 
 # --- PGM codec ---------------------------------------------------------------

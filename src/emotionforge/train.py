@@ -104,7 +104,6 @@ def sgd_step(tensors: list[np.ndarray], velocities: list[np.ndarray],
         v *= momentum
         v -= (lr * g).astype(p.dtype, copy=False)
         p += v
-    return tensors, velocities
 
 
 def _batch_loss(batch: Batch, mode: str, logits: np.ndarray):
@@ -136,6 +135,7 @@ def evaluate_dataset(params: ModelParams, samples: list[Sample], mode: str,
     Regression accuracy compares the argmax of the predicted intensities with
     the argmax of the target vector.
     """
+    params.resolve_mode(mode)
     total_loss = 0.0
     correct = 0
     for batch, logits, labels in _predict_batches(params, samples, mode, batch_size):
@@ -187,6 +187,7 @@ def train_loop(config: TrainConfig, train_set: list[Sample], val_set: list[Sampl
         velocities = [np.zeros_like(t) for t in params.weights + params.biases]
         history = TrainHistory()
         start = 0
+    params.resolve_mode(config.mode)  # one head: the loss trained is the mode saved
 
     bpe = math.ceil(len(train_set) / config.batch_size)
     for it in range(start, config.max_iterations):

@@ -103,6 +103,17 @@ class TestAugment:
                      "--manifest", str(manifest)]) == 1
         assert os.listdir(dst) == []
 
+    def test_manifest_out_without_manifest_is_usage_error(self, tmp_path):
+        src = tmp_path / "in"
+        dst = tmp_path / "out"
+        src.mkdir(), dst.mkdir()
+        imaging.save_pgm(src / "a.pgm", toy_pattern(0, Prng(6)))
+        mout = tmp_path / "m_aug.csv"
+        assert main(["augment", str(src), "--out", str(dst),
+                     "--manifest-out", str(mout)]) == 1
+        assert os.listdir(dst) == []
+        assert not mout.exists()
+
     def test_empty_dir_fails(self, tmp_path):
         (tmp_path / "in").mkdir()
         (tmp_path / "out").mkdir()

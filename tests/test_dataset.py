@@ -8,11 +8,9 @@ from hypothesis import strategies as st
 from emotionforge import dataset, imaging, train
 from emotionforge.dataset import EmotionClass
 from emotionforge.errors import (
-    ApexOnBoundaryError,
     ManifestParseError,
     MissingIntensityColumnError,
     OutOfRangeIntensityError,
-    TooFewFramesError,
     UnalignedImageError,
     UnknownClassNameError,
 )
@@ -75,31 +73,6 @@ class TestSequences:
         assert v[4] == 1.0
         assert v.tolist() == v.tolist()[::-1]  # palindrome
         assert v.tolist() == [0.2, 0.4, 0.6, 0.8, 1.0, 0.8, 0.6, 0.4, 0.2]
-
-    def test_nine_frames_takes_all(self):
-        assert dataset.select_sequence_frames(9, 4) == list(range(9))
-
-    def test_eleven_frames_linear_ramp(self):
-        assert dataset.select_sequence_frames(11, 5) == [1, 2, 3, 4, 5, 6, 7, 8, 9]
-
-    def test_strictly_increasing_everywhere(self):
-        for n in range(9, 40):
-            for apex in range(4, n - 4):
-                picks = dataset.select_sequence_frames(n, apex)
-                assert len(picks) == 9
-                assert picks[4] == apex
-                assert all(a < b for a, b in zip(picks, picks[1:]))
-                assert picks[0] >= 0 and picks[-1] <= n - 1
-
-    def test_too_few_frames(self):
-        with pytest.raises(TooFewFramesError):
-            dataset.select_sequence_frames(8, 4)
-
-    def test_apex_on_boundary(self):
-        with pytest.raises(ApexOnBoundaryError):
-            dataset.select_sequence_frames(9, 1)
-        with pytest.raises(ApexOnBoundaryError):
-            dataset.select_sequence_frames(12, 8)
 
 
 @pytest.fixture

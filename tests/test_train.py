@@ -14,6 +14,7 @@ from emotionforge.errors import (
     ChecksumMismatchError,
     EmptyDatasetError,
     ModelIoError,
+    ModelModeMismatchError,
     NonFiniteLossError,
     ShapeMismatchError,
     VersionMismatchError,
@@ -240,6 +241,13 @@ class TestTrainLoop:
         with np.errstate(all="ignore"), pytest.raises(NonFiniteLossError):
             train.train_loop(self.cfg(30, learning_rate=1e5), tr, va)
 
+    def test_params_of_another_head_are_rejected_before_a_step(self):
+        # the image paths do not exist, so a decoded batch would fail another way
+        samples = [dataset.Sample("missing.pgm", dataset.EmotionClass.HAPPY)]
+        params = nn.init_params(seed=5, input_hw=16, mode="regression")
+        with pytest.raises(ModelModeMismatchError):
+            train.train_loop(self.cfg(2), samples, samples, params=params)
+
     def test_regression_mode_runs(self, tmp_path):
         man, vman = make_toy_corpus(tmp_path, n=16, n_train=12, seed=8, mode="regression")
         tr = dataset.load_manifest(man, "regression")
@@ -455,6 +463,12 @@ class TestEvaluateDataset:
         p = nn.init_params(seed=0, input_hw=16)
         with pytest.raises(EmptyDatasetError):
             train.evaluate_dataset(p, [], "classification")
+
+    def test_model_of_another_head_is_typed_error(self):
+        p = nn.init_params(seed=0, input_hw=16, mode="regression")
+        samples = [dataset.Sample("missing.pgm", dataset.EmotionClass.HAPPY)]
+        with pytest.raises(ModelModeMismatchError):
+            train.evaluate_dataset(p, samples, "classification")
 
 
 class TestBatchOrder:
