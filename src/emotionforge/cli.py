@@ -103,6 +103,8 @@ def cmd_align(args) -> int:
 def cmd_augment(args) -> int:
     if bool(args.manifest) != bool(args.manifest_out):
         raise _UsageError("--manifest and --manifest-out go together")
+    # read before any variant is written, so a bad manifest fails first
+    rows = list(dataset.manifest_rows(args.manifest)) if args.manifest else []
     spec = aug.default_spec()
     variant_paths: dict[str, list[str]] = {}  # by stem
 
@@ -116,15 +118,15 @@ def cmd_augment(args) -> int:
 
     ok = _each_image("augment", args.in_dir, augment_one)
     if args.manifest:
-        _replicate_manifest(args.manifest, args.manifest_out, variant_paths)
+        _replicate_manifest(rows, args.manifest_out, variant_paths)
     print(f"wrote {sum(map(len, variant_paths.values()))} variants from {ok} images")
     return EXIT_OK if ok > 0 else EXIT_DATA
 
 
-def _replicate_manifest(manifest_in, manifest_out, variant_paths) -> None:
-    """One output manifest line per variant, labels carried over unchanged; the
-    path is relative to the output manifest, as ``dataset.load_manifest`` reads it."""
-    rows = list(dataset.manifest_rows(manifest_in))  # before the output file exists
+def _replicate_manifest(rows, manifest_out, variant_paths) -> None:
+    """One output manifest line per variant of each ``dataset.manifest_rows``
+    row, labels carried over unchanged; the path is relative to the output
+    manifest, as ``dataset.load_manifest`` reads it."""
     base = os.path.dirname(os.path.abspath(manifest_out))
     with atomic_write(manifest_out) as dst:
         for _, fields in rows:

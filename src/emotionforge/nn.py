@@ -13,6 +13,10 @@ EMO-NET, the compact VGG-style stack used throughout (input 1x128x128):
     conv 3x3x128 p1   - relu - maxpool 2x2
     flatten (8192) - fc 256 - relu - dropout 0.5 - fc 7
 
+The forward runs each conv - relu - maxpool row as one block, walked over
+cache-sized chunks of the batch (``_conv_pool_relu``), so a conv's
+full-resolution output never exists for the whole batch.
+
 2,192,391 parameters; about 8.8 MB as float32. ``emo_net_layers`` also
 builds reduced-resolution clones (any input size whose spatial ladder stays
 even until the last pool) for cheap gradient checking.
@@ -141,10 +145,11 @@ def init_params(seed: int, input_hw: int = 128, mode: str = "classification") ->
 
 # --- layer primitives ----------------------------------------------------------
 
-# A per-sample kernel walks the batch in chunks of about this many bytes of
-# per-sample work (0.1-1.1 MiB per sample at EMO-NET's shapes), so that each
-# chunk's copies and temporaries stay in a core's L2 cache instead of
-# streaming a 9-75 MB batch tensor through memory several times.
+# A per-sample pass (a conv block's forward, conv dx, pool backward) walks the
+# batch in chunks of about this many bytes of per-sample work (0.1-1.1 MiB per
+# sample at EMO-NET's shapes), so that each chunk's copies and temporaries stay
+# in a core's L2 cache instead of streaming a 9-75 MB batch tensor through
+# memory several times.
 _CHUNK_BYTES = 1 << 20
 
 
@@ -158,9 +163,10 @@ _BLOCK_BYTES = 16 << 20
 
 
 def _chunks(n: int, sample_bytes: int) -> list[slice]:
-    """Slices of a batch of ``n`` covering ~``_CHUNK_BYTES`` each, at least one sample."""
-    step = max(1, _CHUNK_BYTES // sample_bytes)
-    return [slice(i, i + step) for i in range(0, n, step)]
+    """Slices of a batch of ``n`` covering ~``_CHUNK_BYTES`` each, at least one
+    sample; an empty batch is one empty slice."""
+    step = max(1, _CHUNK_BYTES // max(1, sample_bytes))
+    return [slice(i, i + step) for i in range(0, max(n, 1), step)]
 
 
 def _pad(x: np.ndarray, pad: int) -> np.ndarray:
@@ -191,10 +197,10 @@ def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray,
                    stride: int, pad: int) -> np.ndarray:
     """Cross-correlation plus bias; zero padding.
 
-    The batch is walked in cache-sized chunks: each chunk is padded, copied
-    into a patch matrix, multiplied and biased while it is still in cache.
-    A stacked ``np.matmul`` is one GEMM per sample, so the chunking changes
-    no bit.
+    The input is padded, copied into a patch matrix and multiplied by one
+    stacked ``np.matmul``, which is one GEMM per sample: a call on a slice of
+    a batch gives that slice of the whole call's bits. So the network's conv
+    blocks call it one cache-sized chunk at a time (``_conv_pool_relu``).
     """
     n, c, h, wd = x.shape
     k, cw, kh, kw = w.shape
@@ -203,11 +209,8 @@ def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray,
     ho, wo = conv_out_hw(h, wd, LayerSpec(CONV, kh=kh, kw=kw, stride=stride, pad=pad))
     if ho < 1 or wo < 1:
         raise ShapeMismatchError(f"kernel {kh}x{kw} does not fit {h}x{wd} input")
-    w2 = w.reshape(k, -1)
-    y = np.empty((n, k, ho * wo), dtype=np.result_type(w, x))
-    for sl in _chunks(n, w2.shape[1] * ho * wo * x.itemsize):
-        np.matmul(w2, _im2col(_pad(x[sl], pad), kh, kw, stride, ho, wo), out=y[sl])
-        y[sl] += b.reshape(1, k, 1)
+    y = np.matmul(w.reshape(k, -1), _im2col(_pad(x, pad), kh, kw, stride, ho, wo))
+    y += b.reshape(1, k, 1)
     return y.reshape(n, k, ho, wo)
 
 
@@ -270,10 +273,21 @@ def relu_forward(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0)
 
 
+def _bit_mask(cond: np.ndarray) -> np.ndarray:
+    """``cond`` (a fresh bool array) as int8 -1, all bits set, or 0. A float's
+    bits ANDed with it get ``np.where(cond, x, 0)``'s bits, several times
+    faster than ``np.where`` computes them."""
+    mask = cond.view(np.int8)
+    np.negative(mask, out=mask)
+    return mask
+
+
 def relu_backward(y: np.ndarray, upstream: np.ndarray) -> np.ndarray:
-    """``upstream`` where ``y`` > 0, else 0. ``y`` is the relu's input or output:
-    they are > 0 at the same elements, NaN and -0 included."""
-    return upstream * (y > 0)
+    """``upstream`` where ``y`` > 0, else +0, whatever the upstream (an inf or
+    NaN included). ``y`` is the relu's input or output: they are > 0 at the
+    same elements, NaN and -0 included."""
+    as_int = np.dtype(f"i{upstream.itemsize}")
+    return np.bitwise_and(upstream.view(as_int), _bit_mask(y > 0)).view(upstream.dtype)
 
 
 def _pool_views(x: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -292,27 +306,25 @@ def maxpool_forward(x: np.ndarray,
     ``np.maximum`` tree, which carries a NaN at any position through to the
     logits. Without ``argmax`` (inference, where no backward reads it) the
     argmax is not built and comes back as None; the output is the same tree
-    and has the same bytes. Every window is independent, so the batch is
-    walked in cache-sized chunks that write into the preallocated output and
-    argmax.
+    and has the same bytes. Every window is independent, so the network's
+    conv blocks call it one cache-sized chunk of the batch at a time.
     """
-    n, ch, h, w = x.shape
+    _, _, h, w = x.shape
     if h % 2 or w % 2:
         raise ShapeMismatchError(f"maxpool needs even spatial dims, got {h}x{w}")
-    out = np.empty((n, ch, h // 2, w // 2), dtype=x.dtype)
-    idx = np.empty(out.shape, dtype=np.int8) if argmax else None
-    for sl in _chunks(n, ch * h * w * x.itemsize):
-        a, b, c, d = _pool_views(x[sl])
-        # np.maximum keeps its second operand on a tie, so the earlier position
-        # goes second: the output is then the argmax element, down to a zero's sign
-        top, bottom = np.maximum(b, a), np.maximum(d, c)
-        np.maximum(bottom, top, out=out[sl])
-        if argmax:  # lo + (bottom > top) * (hi - lo + 2), with lo, hi in {0, 1}
-            lo, i = (b > a).view(np.int8), idx[sl]
-            np.subtract((d > c).view(np.int8), lo, out=i)
-            i += 2
-            i *= bottom > top
-            i += lo
+    a, b, c, d = _pool_views(x)
+    # np.maximum keeps its second operand on a tie, so the earlier position
+    # goes second: the output is then the argmax element, down to a zero's sign
+    top, bottom = np.maximum(b, a), np.maximum(d, c)
+    out = np.maximum(bottom, top)
+    if not argmax:
+        return out, None
+    # lo + (bottom > top) * (hi - lo + 2), with lo, hi in {0, 1}
+    lo = (b > a).view(np.int8)
+    idx = (d > c).view(np.int8) - lo
+    idx += 2
+    idx *= bottom > top
+    idx += lo
     return out, idx
 
 
@@ -333,9 +345,7 @@ def maxpool_backward(x_shape: tuple, idx: np.ndarray, upstream: np.ndarray) -> n
     bits = upstream.view(as_int)
     for sl in _chunks(n, c * h * w * dx.itemsize):
         for k, view in enumerate(_pool_views(dx[sl].view(as_int))):
-            mask = (idx[sl] == k).view(np.int8)
-            np.negative(mask, out=mask)  # 1 -> -1, all bits set
-            np.bitwise_and(bits[sl], mask, out=view)
+            np.bitwise_and(bits[sl], _bit_mask(idx[sl] == k), out=view)
     return dx
 
 
@@ -379,20 +389,69 @@ def _layer_params(params: ModelParams) -> list[tuple]:
     return run
 
 
+def _conv_pool_relu(block: list[tuple], x: np.ndarray, frozen: list | None,
+                    keep: bool) -> tuple[np.ndarray, list | None]:
+    """A conv -> maxpool -> relu triple of ``_layer_params``, in batch chunks.
+
+    Each cache-sized chunk is convolved, pooled and relu'd (through the
+    module's ``conv2d_forward``, ``maxpool_forward`` and ``relu_forward``)
+    while it is still in cache, then written into the batch-sized output and
+    int8 argmax; the conv's full-resolution output never exists for the
+    whole batch. Every primitive is per sample, so the chunks change no bit.
+    With ``frozen`` (the triple's caches from a train-mode pass) each chunk's
+    argmax and relu mask come from it. Returns (output, caches): with
+    ``keep``, the triple's caches as a layer-by-layer walk builds them (the
+    conv input, (conv-output shape, argmax), the relu output), else None.
+    """
+    (conv, w, b), (pool, _, _), (relu, _, _) = block
+    n = x.shape[0]
+    ho, wo = conv_out_hw(x.shape[2], x.shape[3], conv)
+    out = idx = None  # shaped by the first chunk, once the primitives have checked it
+    for sl in _chunks(n, w[0].size * ho * wo * x.itemsize):
+        y = conv2d_forward(x[sl], w, b, conv.stride, conv.pad)
+        if frozen is None:
+            pooled, chunk_idx = maxpool_forward(y, argmax=keep)
+            r = relu_forward(pooled)
+        else:
+            pooled = np.choose(frozen[1][1][1][sl], _pool_views(y))
+            r = pooled * (frozen[2][1][sl] > 0)
+        if out is None:
+            out = np.empty((n, *r.shape[1:]), dtype=r.dtype)
+            idx = np.empty(out.shape, dtype=np.int8) if keep else None
+        out[sl] = r
+        if keep:
+            idx[sl] = chunk_idx
+    if not keep:
+        return out, None
+    return out, [(conv, x), (pool, ((n, *y.shape[1:]), idx)), (relu, out)]
+
+
 def _forward_walk(params: ModelParams, x: np.ndarray, rng: Prng | None = None,
                   frozen: list | None = None,
                   keep: bool = True) -> tuple[np.ndarray, list | None]:
     """The one walk through the stack; returns (output, caches).
 
-    Dropout fires when ``rng`` is given. With ``frozen`` (the caches of an
-    earlier train-mode pass), ReLU masks and maxpool argmax are taken from it
-    instead of from ``x``. Without ``keep`` no cache is built, so each
-    activation is freed as soon as the next layer has read it, no maxpool
-    argmax is computed, and caches is None. A relu keeps its output, which
-    the next layer keeps as its input anyway.
+    Each conv -> maxpool -> relu triple runs as one ``_conv_pool_relu``
+    block; every other layer runs on the whole batch. Dropout fires when
+    ``rng`` is given. With ``frozen`` (the caches of an earlier train-mode
+    pass), ReLU masks and maxpool argmax are taken from it instead of from
+    ``x``. Without ``keep`` no cache is built, so each activation is freed as
+    soon as the next layer has read it, no maxpool argmax is computed, and
+    caches is None. A relu keeps its output, which the next layer keeps as
+    its input anyway.
     """
     caches = [] if keep else None
-    for i, (spec, w, b) in enumerate(_layer_params(params)):
+    run = _layer_params(params)
+    i = 0
+    while i < len(run):
+        if [spec.kind for spec, _, _ in run[i : i + 3]] == [CONV, MAXPOOL, RELU]:
+            x, block = _conv_pool_relu(run[i : i + 3], x,
+                                       None if frozen is None else frozen[i : i + 3], keep)
+            if keep:
+                caches += block
+            i += 3
+            continue
+        spec, w, b = run[i]
         routing = None if frozen is None else frozen[i][1]
         cache = x  # conv and fc keep their input for backward
         if spec.kind == CONV:
@@ -419,6 +478,7 @@ def _forward_walk(params: ModelParams, x: np.ndarray, rng: Prng | None = None,
             raise ValueError(f"unknown layer kind {spec.kind!r}")
         if keep:
             caches.append((spec, cache))
+        i += 1
     return x, caches
 
 
@@ -452,7 +512,7 @@ def forward_frozen(params: ModelParams, x: np.ndarray, caches: list) -> np.ndarr
     finite-difference oracle must probe for the comparison to be meaningful
     at step sizes that would otherwise cross ReLU kinks.
     """
-    return _forward_walk(params, x, frozen=caches)[0]
+    return _forward_walk(params, x, frozen=caches, keep=False)[0]
 
 
 def backward(params: ModelParams, caches: list, dlogits: np.ndarray):

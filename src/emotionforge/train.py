@@ -154,6 +154,28 @@ def _epoch_chunks(samples: list[Sample], batch_size: int, seed: int,
             for start in range(0, len(samples), batch_size)]
 
 
+def _train_step(params: ModelParams, velocities: list[np.ndarray], samples: list[Sample],
+                config: TrainConfig, it: int) -> float:
+    """Iteration ``it``: one SGD step on ``samples``; returns its loss. The
+    batch, caches and gradients are locals, so they are freed on return,
+    before the next step allocates its own."""
+    batch = load_batch_inputs(samples)
+    try:
+        logits, caches = forward(params, batch.inputs, mode="train",
+                                 rng=Prng.derive(config.seed, 2, it))
+    except NonFiniteActivationError as exc:
+        raise NonFiniteLossError(f"diverged at iteration {it + 1}: {exc}") from exc
+    lv = _batch_loss(batch, config.mode, logits)
+    if not np.isfinite(lv.value):
+        raise NonFiniteLossError(f"loss {lv.value} at iteration {it + 1}")
+    dweights, dbiases = backward(params, caches, lv.dlogits)
+    del batch, logits, caches  # the update needs only the gradients
+    lr = config.learning_rate * _LR_DECAY ** (it // _LR_DECAY_EVERY)
+    sgd_step(params.weights + params.biases, velocities, dweights + dbiases,
+             lr, config.momentum)
+    return lv.value
+
+
 def train_loop(config: TrainConfig, train_set: list[Sample], val_set: list[Sample],
                resume_from: Checkpoint | None = None,
                params: ModelParams | None = None) -> tuple[Checkpoint, TrainHistory]:
@@ -195,22 +217,7 @@ def train_loop(config: TrainConfig, train_set: list[Sample], val_set: list[Sampl
         # one permutation per epoch; a resume may start mid-epoch
         if slot == 0 or it == start:
             chunks = _epoch_chunks(train_set, config.batch_size, config.seed, epoch)
-        batch = load_batch_inputs(chunks[slot])
-
-        try:
-            logits, caches = forward(params, batch.inputs, mode="train",
-                                     rng=Prng.derive(config.seed, 2, it))
-        except NonFiniteActivationError as exc:
-            raise NonFiniteLossError(f"diverged at iteration {it + 1}: {exc}") from exc
-        lv = _batch_loss(batch, config.mode, logits)
-        if not np.isfinite(lv.value):
-            raise NonFiniteLossError(f"loss {lv.value} at iteration {it + 1}")
-        dweights, dbiases = backward(params, caches, lv.dlogits)
-
-        lr = config.learning_rate * _LR_DECAY ** (it // _LR_DECAY_EVERY)
-        sgd_step(params.weights + params.biases, velocities, dweights + dbiases,
-                 lr, config.momentum)
-        history.train_loss.append(lv.value)
+        history.train_loss.append(_train_step(params, velocities, chunks[slot], config, it))
 
         done = it + 1
         if done % config.checkpoint_every == 0 or done == config.max_iterations:

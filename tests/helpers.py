@@ -4,6 +4,7 @@ import errno
 import io
 import math
 import os
+import tracemalloc
 
 import numpy as np
 
@@ -49,6 +50,17 @@ def fill_disk_after(monkeypatch, limit: int) -> list:
 
     monkeypatch.setattr(imaging, "open", lambda path, mode: FullDisk(path, "w"), raising=False)
     return listings
+
+
+def traced_peak(fn) -> int:
+    """The most bytes ``fn()`` had allocated at once, by tracemalloc: its
+    peak on top of what was live when it was called."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def synthetic_face(w=260, h=280, cx=None, cy=None, face_w=70, face_h=90,

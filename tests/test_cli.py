@@ -114,6 +114,17 @@ class TestAugment:
         assert os.listdir(dst) == []
         assert not mout.exists()
 
+    def test_missing_manifest_fails_before_any_variant(self, tmp_path):
+        src = tmp_path / "in"
+        dst = tmp_path / "out"
+        src.mkdir(), dst.mkdir()
+        imaging.save_pgm(src / "a.pgm", toy_pattern(0, Prng(6)))
+        mout = tmp_path / "o.csv"
+        assert main(["augment", str(src), "--out", str(dst),
+                     "--manifest", str(tmp_path / "nope.csv"), "--manifest-out", str(mout)]) == 2
+        assert os.listdir(dst) == []
+        assert not mout.exists()
+
     def test_empty_dir_fails(self, tmp_path):
         (tmp_path / "in").mkdir()
         (tmp_path / "out").mkdir()

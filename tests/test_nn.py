@@ -6,6 +6,7 @@ import pytest
 from emotionforge import nn
 from emotionforge.errors import NonFiniteActivationError, ShapeMismatchError, StaleCacheError
 from emotionforge.rng import Prng
+from helpers import traced_peak
 
 
 def rnd(shape, seed, scale=1.0, dtype=np.float64):
@@ -604,6 +605,25 @@ def plant_ties_and_nans(x, samples):
     return x
 
 
+def conv_block(spec, w, b):
+    """The conv -> maxpool -> relu triple the forward walk runs as one block."""
+    return [(spec, w, b), (nn.LayerSpec(nn.MAXPOOL), None, None), (nn.LayerSpec(nn.RELU), None, None)]
+
+
+def assert_block_is_unfused(block, x, y):
+    """The block's train-mode output and caches, and its infer-mode output,
+    are those of pooling and relu'ing ``y``, its conv's whole-batch output."""
+    ref_pooled, ref_idx = ref_whole_batch_maxpool_forward(y)
+    ref_out = nn.relu_forward(ref_pooled)
+    out, caches = nn._conv_pool_relu(block, x, None, keep=True)
+    assert same_bits(out, ref_out)
+    (_, conv_in), (_, (y_shape, idx)), (_, relu_out) = caches
+    assert conv_in is x and y_shape == y.shape and relu_out is out
+    assert same_bits(idx, ref_idx)
+    infer_out, none = nn._conv_pool_relu(block, x, None, keep=False)
+    assert none is None and same_bits(infer_out, ref_out)
+
+
 class TestChunkedKernels:
     """The cache-sized batch chunks give the whole-batch kernels' bits, with
     NaNs and signed-zero ties in the last sample of a chunk."""
@@ -611,20 +631,23 @@ class TestChunkedKernels:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("spec,hw", REAL_CONVS, ids=["conv1", "conv2", "conv3"])
     def test_conv_forward(self, monkeypatch, spec, hw, dtype):
+        # the conv block's chunks against one whole-batch conv, pool and relu
         w = rnd(spec.weight_shape, 60, dtype=dtype)
         b = rnd((spec.out_ch,), 61, dtype=dtype)
+        block = conv_block(spec, w, b)
 
         def inputs(n):
             return rnd((n, spec.in_ch, hw, hw), 62, dtype=dtype)
 
         step, batches = chunk_boundary_batches(
-            monkeypatch, lambda n: nn.conv2d_forward(inputs(n), w, b, spec.stride, spec.pad))
+            monkeypatch, lambda n: nn._conv_pool_relu(block, inputs(n), None, keep=True))
         for n in batches:
             x = plant_ties_and_nans(inputs(n), {min(step, n) - 1, n - 1})
             pad = ((0, 0), (0, 0), (spec.pad, spec.pad), (spec.pad, spec.pad))
             assert same_bits(nn._pad(x, spec.pad), np.pad(x, pad))
-            assert same_bits(nn.conv2d_forward(x, w, b, spec.stride, spec.pad),
-                             ref_whole_batch_conv2d_forward(x, w, b, spec.stride, spec.pad))
+            y = ref_whole_batch_conv2d_forward(x, w, b, spec.stride, spec.pad)
+            assert same_bits(nn.conv2d_forward(x, w, b, spec.stride, spec.pad), y)
+            assert_block_is_unfused(block, x, y)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("spec,hw", REAL_CONVS, ids=["conv1", "conv2", "conv3"])
@@ -649,14 +672,21 @@ class TestChunkedKernels:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("c,hw", REAL_POOLS, ids=["pool1", "pool2", "pool3"])
     def test_maxpool(self, monkeypatch, c, hw, dtype):
+        # the block's pool and relu chunks, on planted values: its conv is
+        # replaced by the identity, which a 1x1 conv of c channels sizes
+        block = conv_block(nn.LayerSpec(nn.CONV, in_ch=c, out_ch=c, kh=1, kw=1, stride=1),
+                           np.zeros((c, c, 1, 1), dtype=dtype), np.zeros(c, dtype=dtype))
+
         def inputs(n):
             return rnd((n, c, hw, hw), 66, dtype=dtype)
 
-        step, batches = chunk_boundary_batches(monkeypatch,
-                                               lambda n: nn.maxpool_forward(inputs(n)))
+        step, batches = chunk_boundary_batches(
+            monkeypatch, lambda n: nn._conv_pool_relu(block, inputs(n), None, keep=True))
+        monkeypatch.setattr(nn, "conv2d_forward", lambda x, w, b, stride, pad: x.copy())
         for n in batches:
             last = {min(step, n) - 1, n - 1}
             x = plant_ties_and_nans(inputs(n), last)
+            assert_block_is_unfused(block, x, x)
             out, idx = nn.maxpool_forward(x)
             ref_out, ref_idx = ref_whole_batch_maxpool_forward(x)
             assert same_bits(out, ref_out) and same_bits(idx, ref_idx)
@@ -682,6 +712,109 @@ class TestChunkedKernels:
             assert same_bits(out, whole)
             for s in range(3):
                 assert same_bits(whole[s], np.matmul(a, stack[s]))
+
+
+def unfused_walk(p, x, frozen=None):
+    """The layer-by-layer walk that the conv blocks replace: whole-batch
+    conv2d_forward, maxpool_forward and relu_forward in ``_layer_params``'
+    order, dropout off. With ``frozen``, argmax and relu masks come from it."""
+    caches = []
+    for i, (spec, w, b) in enumerate(nn._layer_params(p)):
+        routing = None if frozen is None else frozen[i][1]
+        cache = x
+        if spec.kind == nn.CONV:
+            x = nn.conv2d_forward(x, w, b, spec.stride, spec.pad)
+        elif spec.kind == nn.MAXPOOL:
+            if routing is None:
+                x, idx = nn.maxpool_forward(x)
+            else:
+                idx = routing[1]
+                x = np.choose(idx, nn._pool_views(x))
+            cache = (cache.shape, idx)
+        elif spec.kind == nn.RELU:
+            x = cache = nn.relu_forward(x) if routing is None else x * (routing > 0)
+        elif spec.kind == nn.FLATTEN:
+            cache = x.shape
+            x = x.reshape(x.shape[0], -1)
+        elif spec.kind == nn.FC:
+            x = nn.fc_forward(x, w, b)
+        else:
+            cache = None
+        caches.append((spec, cache))
+    return x, caches
+
+
+def assert_same_caches(caches, ref):
+    assert len(caches) == len(ref)
+    for (spec, cache), (ref_spec, ref_cache) in zip(caches, ref):
+        assert spec == ref_spec
+        if spec.kind == nn.MAXPOOL:
+            assert cache[0] == ref_cache[0] and same_bits(cache[1], ref_cache[1])
+        elif isinstance(ref_cache, np.ndarray):
+            assert same_bits(cache, ref_cache)
+        else:
+            assert cache == ref_cache
+
+
+def planted_faces(n, hw, dtype):
+    """Inputs with a zero band in sample 0 (every conv output over it is its
+    bias, so whole windows tie), signed zeros, and a NaN in the last sample:
+    the ragged tail of each block's chunks."""
+    x = rnd((n, 1, hw, hw), 91, dtype=dtype)
+    x[0, 0, : hw // 2] = 0.0
+    x[0, 0, hw // 2 : hw // 2 + 4, 0::2] = -0.0
+    x[-1, 0, hw // 3, hw // 5] = np.nan
+    return x
+
+
+# batch 64 trains, 48 and 16 are smaller batches, 1 is a stream frame; float64
+# runs on a 64x64 clone to keep the whole-batch oracle's patch copies small
+BLOCK_CASES = [(n, np.float32, 128) for n in (64, 48, 16, 1)] + \
+              [(n, np.float64, 64) for n in (64, 48, 16, 1)]
+
+
+class TestConvBlocks:
+    """The forward walk's conv -> maxpool -> relu blocks give the bits, the
+    caches and the int8 argmax of the layer-by-layer walk, and hold no
+    full-resolution activation of the whole batch."""
+
+    @pytest.mark.parametrize("n,dtype,hw", BLOCK_CASES,
+                             ids=[f"b{n}-{np.dtype(d).name}" for n, d, _ in BLOCK_CASES])
+    def test_walk_equals_unfused(self, n, dtype, hw):
+        p = nn.init_params(seed=15, input_hw=hw).astype(dtype)
+        for i, b in enumerate(p.biases[:3]):  # every conv's ties are at its bias
+            b[:] = rnd(b.shape, 94 + i, scale=0.1, dtype=dtype)
+        x = planted_faces(n, hw, dtype)
+        logits, caches = nn._forward_walk(p, x)
+        ref_logits, ref_caches = unfused_walk(p, x)
+        assert same_bits(logits, ref_logits)
+        assert_same_caches(caches, ref_caches)
+        assert [c[1].dtype for s, c in caches if s.kind == nn.MAXPOOL] == [np.int8] * 3
+        assert same_bits(nn._forward_walk(p, x, keep=False)[0], ref_logits)
+        x2 = rnd(x.shape, 95, dtype=dtype)  # another point, under the frozen routing
+        assert same_bits(nn.forward_frozen(p, x2, caches), unfused_walk(p, x2, ref_caches)[0])
+
+        x[-1, 0, hw // 3, hw // 5] = 0.0  # finite, for gradients that are not all NaN
+        logits, caches = nn._forward_walk(p, x)
+        dl = rnd(logits.shape, 96, dtype=dtype)
+        grads = nn.backward(p, caches, dl)
+        ref_grads = nn.backward(p, unfused_walk(p, x)[1], dl)
+        for g, ref in zip(grads[0] + grads[1], ref_grads[0] + ref_grads[1]):
+            assert same_bits(g, ref)
+
+    def test_train_forward_memory_peak(self):
+        p = nn.init_params(seed=13)
+        x = rnd((64, 1, 128, 128), 88, dtype=np.float32)
+        peak = traced_peak(lambda: nn.forward(p, x, mode="train", rng=Prng.derive(13, 2, 0)))
+        # ~18 MiB; a whole-batch conv1 output (32 MiB) would take it to ~43 MiB
+        assert peak <= 24 * 2**20
+
+    def test_infer_forward_memory_peak(self):
+        p = nn.init_params(seed=13)
+        x = rnd((64, 1, 128, 128), 88, dtype=np.float32)
+        peak = traced_peak(lambda: nn.forward(p, x, mode="infer"))
+        # ~14 MiB; a whole-batch conv1 output (32 MiB) would take it to ~41 MiB
+        assert peak <= 20 * 2**20
 
 
 class TestSubnormalFlush:
@@ -803,8 +936,18 @@ class TestLeanBackward:
         vals = np.array([np.nan, -np.nan, 0.0, -0.0, tiny / 4, -tiny / 4, tiny, -tiny,
                          np.inf, -np.inf, 1.5, -1.5], dtype=dtype)
         x, up = np.meshgrid(vals, vals)  # every input against every upstream value
-        with np.errstate(invalid="ignore"):  # inf * 0
-            assert same_bits(nn.relu_backward(nn.relu_forward(x), up), nn.relu_backward(x, up))
+        assert same_bits(nn.relu_backward(nn.relu_forward(x), up), nn.relu_backward(x, up))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_relu_backward_masks_to_positive_zero(self, dtype):
+        # as np.where(y > 0, upstream, 0): an inf or NaN upstream is masked too
+        up = np.array([np.inf, -np.inf, np.nan, -np.nan, 0.0, -0.0, -1.5], dtype=dtype)
+        off = np.array([-1.0, 0.0, -0.0, np.nan, -np.nan, -np.inf], dtype=dtype)
+        on = np.array([np.finfo(dtype).tiny, 1.0, np.inf], dtype=dtype)
+        y, u = np.meshgrid(off, up)
+        assert same_bits(nn.relu_backward(y, u), np.zeros_like(u))
+        y, u = np.meshgrid(on, up)
+        assert same_bits(nn.relu_backward(y, u), u)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_int8_argmax_equals_where_formula(self, dtype):
@@ -818,18 +961,11 @@ class TestLeanBackward:
         assert same_bits(idx, ref)
 
     def test_train_step_memory_peak(self):
-        import tracemalloc
-
         p = nn.init_params(seed=13)
         x = rnd((64, 1, 128, 128), 88, dtype=np.float32)
         dl = rnd((64, nn.NUM_CLASSES), 89, dtype=np.float32)
-        tracemalloc.start()
-        try:
-            _, caches = nn.forward(p, x, mode="train", rng=Prng.derive(13, 2, 0))
-            nn.backward(p, caches, dl)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: nn.backward(
+            p, nn.forward(p, x, mode="train", rng=Prng.derive(13, 2, 0))[1], dl))
         # whole-batch patch and transpose copies would take it to ~153 MiB
         assert peak <= 120 * 2**20
 

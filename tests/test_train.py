@@ -20,7 +20,7 @@ from emotionforge.errors import (
     VersionMismatchError,
 )
 from emotionforge.rng import Prng
-from helpers import decode_outcome, fill_disk_after, make_toy_corpus, overwrite
+from helpers import decode_outcome, fill_disk_after, make_toy_corpus, overwrite, traced_peak
 
 
 def params_equal(a, b):
@@ -247,6 +247,17 @@ class TestTrainLoop:
         params = nn.init_params(seed=5, input_hw=16, mode="regression")
         with pytest.raises(ModelModeMismatchError):
             train.train_loop(self.cfg(2), samples, samples, params=params)
+
+    def test_holds_one_step_at_a_time(self, tmp_path):
+        man, vman = make_toy_corpus(tmp_path, n=72, n_train=64, seed=9)
+        train_set = dataset.load_manifest(man, "classification")
+        val_set = dataset.load_manifest(vman, "classification")
+        config = train.TrainConfig(batch_size=64, max_iterations=3, checkpoint_every=3, seed=9)
+        params = nn.init_params(9)
+        peak = traced_peak(lambda: train.train_loop(config, train_set, val_set, params=params))
+        # ~90 MiB; holding the last step's caches and gradients through the
+        # next step would take it to ~98 MiB
+        assert peak <= 93 * 2**20
 
     def test_regression_mode_runs(self, tmp_path):
         man, vman = make_toy_corpus(tmp_path, n=16, n_train=12, seed=8, mode="regression")
