@@ -15,7 +15,8 @@ EMO-NET, the compact VGG-style stack used throughout (input 1x128x128):
 
 The forward runs each conv - relu - maxpool row as one block, walked over
 cache-sized chunks of the batch (``_conv_pool_relu``), so a conv's
-full-resolution output never exists for the whole batch.
+full-resolution output never exists for the whole batch. A conv or a
+maxpool outside such a row is a ``ShapeMismatchError``.
 
 2,192,391 parameters; about 8.8 MB as float32. ``emo_net_layers`` also
 builds reduced-resolution clones (any input size whose spatial ladder stays
@@ -374,18 +375,23 @@ def dropout_backward(mask: np.ndarray, p: float, upstream: np.ndarray) -> np.nda
 def _layer_params(params: ModelParams) -> list[tuple]:
     """Each layer with its (weight, bias), in the order the walks run them.
 
-    A layer without parameters gets (None, None). Every relu directly
-    followed by a maxpool runs after it instead: relu and max commute, and
-    the first-match argmax picks the same element whenever the window's max
-    is > 0 (when it is not, relu zeroes the gradient either way), so values
+    A layer without parameters gets (None, None). A conv that does not start
+    a conv - relu - maxpool row, or a maxpool that does not end one, raises
+    ``ShapeMismatchError``. A row's relu runs after its maxpool: relu and max
+    commute, and the first-match argmax picks the same element whenever the
+    window's max is > 0 (else relu zeroes the gradient either way), so values
     and gradients are unchanged while relu works on a quarter of the data.
     """
     pairs = iter(zip(params.weights, params.biases))
     run = [(spec, *(next(pairs) if spec.parametric else (None, None)))
            for spec in params.layers]
-    for i in range(len(run) - 1):
-        if run[i][0].kind == RELU and run[i + 1][0].kind == MAXPOOL:
-            run[i], run[i + 1] = run[i + 1], run[i]
+    kinds = [spec.kind for spec in params.layers]
+    ends = {i + 2 for i in range(len(kinds)) if kinds[i : i + 3] == [CONV, RELU, MAXPOOL]}
+    for i, kind in enumerate(kinds):
+        if kind in (CONV, MAXPOOL) and (i + 2 if kind == CONV else i) not in ends:
+            raise ShapeMismatchError(f"layer {i} ({kind}) is not in a conv - relu - maxpool row")
+    for i in ends:
+        run[i - 1], run[i] = run[i], run[i - 1]
     return run
 
 
@@ -421,9 +427,7 @@ def _conv_pool_relu(block: list[tuple], x: np.ndarray, frozen: list | None,
         out[sl] = r
         if keep:
             idx[sl] = chunk_idx
-    if not keep:
-        return out, None
-    return out, [(conv, x), (pool, ((n, *y.shape[1:]), idx)), (relu, out)]
+    return out, [(conv, x), (pool, ((n, *y.shape[1:]), idx)), (relu, out)] if keep else None
 
 
 def _forward_walk(params: ModelParams, x: np.ndarray, rng: Prng | None = None,
@@ -431,40 +435,30 @@ def _forward_walk(params: ModelParams, x: np.ndarray, rng: Prng | None = None,
                   keep: bool = True) -> tuple[np.ndarray, list | None]:
     """The one walk through the stack; returns (output, caches).
 
-    Each conv -> maxpool -> relu triple runs as one ``_conv_pool_relu``
-    block; every other layer runs on the whole batch. Dropout fires when
-    ``rng`` is given. With ``frozen`` (the caches of an earlier train-mode
-    pass), ReLU masks and maxpool argmax are taken from it instead of from
-    ``x``. Without ``keep`` no cache is built, so each activation is freed as
-    soon as the next layer has read it, no maxpool argmax is computed, and
-    caches is None. A relu keeps its output, which the next layer keeps as
-    its input anyway.
+    Each conv starts a conv -> maxpool -> relu triple (``_layer_params``
+    checks it), run as one ``_conv_pool_relu`` block; every other layer runs
+    on the whole batch. Dropout fires when ``rng`` is given. With ``frozen``
+    (the caches of an earlier train-mode pass), ReLU masks and maxpool argmax
+    are taken from it instead of from ``x``. Without ``keep`` no cache is
+    built, so each activation is freed as soon as the next layer has read it,
+    no maxpool argmax is computed, and caches is None. A relu keeps its
+    output, which the next layer keeps as its input anyway.
     """
     caches = [] if keep else None
     run = _layer_params(params)
     i = 0
     while i < len(run):
-        if [spec.kind for spec, _, _ in run[i : i + 3]] == [CONV, MAXPOOL, RELU]:
+        spec, w, b = run[i]
+        if spec.kind == CONV:
             x, block = _conv_pool_relu(run[i : i + 3], x,
                                        None if frozen is None else frozen[i : i + 3], keep)
             if keep:
                 caches += block
             i += 3
             continue
-        spec, w, b = run[i]
-        routing = None if frozen is None else frozen[i][1]
-        cache = x  # conv and fc keep their input for backward
-        if spec.kind == CONV:
-            x = conv2d_forward(x, w, b, spec.stride, spec.pad)
-        elif spec.kind == RELU:
-            x = cache = relu_forward(x) if routing is None else x * (routing > 0)
-        elif spec.kind == MAXPOOL:
-            if routing is None:
-                x, idx = maxpool_forward(x, argmax=keep)
-            else:
-                idx = routing[1]
-                x = np.choose(idx, _pool_views(x))
-            cache = (cache.shape, idx)
+        cache = x  # fc keeps its input for backward
+        if spec.kind == RELU:
+            x = cache = relu_forward(x) if frozen is None else x * (frozen[i][1] > 0)
         elif spec.kind == FLATTEN:
             cache = x.shape
             x = x.reshape(x.shape[0], -1)
@@ -522,6 +516,7 @@ def backward(params: ModelParams, caches: list, dlogits: np.ndarray):
     Subnormal dlogits entries count as 0: numpy cannot set FTZ/DAZ, and once
     the loss saturates they would slow every layer's backward several-fold.
     """
+    run = _layer_params(params)
     if len(caches) != len(params.layers):
         raise StaleCacheError("cache count does not match layer count")
     last_fc = params.layers[-1]
@@ -529,7 +524,7 @@ def backward(params: ModelParams, caches: list, dlogits: np.ndarray):
         raise StaleCacheError(f"dlogits shape {dlogits.shape} does not match head")
     grads = []  # (dw, db) per parametric layer, last layer first
     dx = np.where(np.abs(dlogits) < np.finfo(dlogits.dtype).tiny, 0, dlogits)
-    walk = reversed(list(enumerate(zip(_layer_params(params), caches))))
+    walk = reversed(list(enumerate(zip(run, caches))))
     for i, ((spec, w, _), (_, cache)) in walk:
         if spec.parametric and cache.shape[0] != dx.shape[0]:
             raise StaleCacheError("batch size changed between forward and backward")

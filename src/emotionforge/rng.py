@@ -77,23 +77,18 @@ class Prng:
         return out
 
     def uniform(self, n: int) -> np.ndarray:
-        """n doubles in [0, 1)."""
-        _check_size(n)
-        out = np.empty(n)
-        for i in range(0, n, _BLOCK):
-            words = self.uint64(min(_BLOCK, n - i))
-            words >>= np.uint64(11)
-            np.multiply(words, 2.0 ** -53, out=out[i : i + _BLOCK])
-        return out
+        """n doubles in [0, 1): the next n words' top 53 bits, times 2**-53."""
+        words = self.uint64(n)
+        return np.right_shift(words, np.uint64(11), out=words) * 2.0 ** -53
 
     def normal(self, n: int) -> np.ndarray:
-        """n standard normals (Box-Muller, cos/sin pairs from uniform pairs)."""
+        """n standard normals: Box-Muller cos/sin pairs from uniform pairs,
+        drawn one ``_BLOCK`` at a time."""
         _check_size(n)
         m = (n + 1) // 2
-        u = self.uniform(2 * m)
         out = np.empty((m, 2))
         for i in range(0, 2 * m, _BLOCK):
-            pairs = u[i : i + _BLOCK]
+            pairs = self.uniform(min(_BLOCK, 2 * m - i))
             # u1 in (0, 1] so log() stays finite; adding 2**-53 is exact.
             r = np.sqrt(-2.0 * np.log(pairs[0::2] + 2.0 ** -53))
             theta = 2.0 * np.pi * pairs[1::2]

@@ -155,3 +155,28 @@ def separator_model(mode="classification") -> nn.ModelParams:
     p.biases[4][0] = 0.0
     p.biases[4][3] = 0.0
     return p
+
+
+# layer tables that break EMO-NET's conv -> relu -> maxpool rows, with the
+# layer each one's error names
+UNWALKABLE = {"lone_conv": "layer 0 (conv)", "lone_maxpool": "layer 3 (maxpool)"}
+
+
+def unwalkable_model(table: str, hw: int) -> nn.ModelParams:
+    """A float32 model of 1-channel ``hw`` x ``hw`` inputs whose layer table
+    cannot be walked: ``lone_conv`` is conv 1x1 -> flatten -> fc, and
+    ``lone_maxpool`` is conv -> relu -> maxpool -> maxpool -> flatten -> fc."""
+    spec = nn.LayerSpec
+    if table == "lone_conv":
+        layers = [spec(nn.CONV, in_ch=1, out_ch=2, kh=1, kw=1, stride=1, pad=0),
+                  spec(nn.FLATTEN), spec(nn.FC, in_dim=2 * hw * hw, out_dim=7)]
+    else:
+        layers = [spec(nn.CONV, in_ch=1, out_ch=2, kh=3, kw=3, stride=1, pad=1),
+                  spec(nn.RELU), spec(nn.MAXPOOL), spec(nn.MAXPOOL), spec(nn.FLATTEN),
+                  spec(nn.FC, in_dim=2 * (hw // 4) ** 2, out_dim=7)]
+    shapes = [s.weight_shape for s in layers if s.parametric]
+    rng = Prng(len(layers))
+    return nn.ModelParams(
+        layers=layers,
+        weights=[rng.normal(math.prod(s)).astype(np.float32).reshape(s) for s in shapes],
+        biases=[np.zeros(s[0], dtype=np.float32) for s in shapes])

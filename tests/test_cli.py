@@ -10,7 +10,8 @@ import pytest
 
 from emotionforge import alignment, cli, dataset, imaging, train
 from emotionforge.cli import main
-from helpers import fill_disk_after, make_toy_corpus, separator_model, synthetic_face, toy_pattern
+from helpers import (UNWALKABLE, fill_disk_after, make_toy_corpus, separator_model,
+                     synthetic_face, toy_pattern, unwalkable_model)
 from emotionforge.rng import Prng
 
 
@@ -282,6 +283,19 @@ class TestInferAndStream:
             finally:
                 if proc.poll() is None:
                     proc.kill()
+
+    @pytest.mark.parametrize("table", UNWALKABLE)
+    @pytest.mark.parametrize("command", ["eval", "infer", "stream"])
+    def test_unwalkable_layer_table_is_data_error(self, frames_dir, tmp_path, capsys,
+                                                  command, table):
+        model = tmp_path / "unwalkable.emo"
+        train.save_model(unwalkable_model(table, 128), model)
+        if command == "eval":
+            source = make_toy_corpus(tmp_path, n=4, n_train=4, seed=13)[0]
+        else:
+            source = str(frames_dir / "frame_0000.pgm" if command == "infer" else frames_dir)
+        assert main([command, source, "--model", str(model)]) == 2
+        assert f"ShapeMismatchError: {UNWALKABLE[table]}" in capsys.readouterr().err
 
     def test_bad_model_file(self, frames_dir, tmp_path, capsys):
         bad = tmp_path / "bad.emo"

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from emotionforge import nn
 from emotionforge.errors import NonFiniteActivationError, ShapeMismatchError, StaleCacheError
 from emotionforge.rng import Prng
-from helpers import traced_peak
+from helpers import UNWALKABLE, traced_peak, unwalkable_model
 
 
 def rnd(shape, seed, scale=1.0, dtype=np.float64):
@@ -815,6 +816,20 @@ class TestConvBlocks:
         peak = traced_peak(lambda: nn.forward(p, x, mode="infer"))
         # ~14 MiB; a whole-batch conv1 output (32 MiB) would take it to ~41 MiB
         assert peak <= 20 * 2**20
+
+    @pytest.mark.parametrize("table", UNWALKABLE)
+    def test_unwalkable_table_raises(self, table):
+        # the block is the only place a conv or a maxpool runs forward, so a
+        # table outside its rows is rejected, not walked layer by layer
+        p = unwalkable_model(table, 8)
+        x = rnd((2, 1, 8, 8), 97, dtype=np.float32)
+        caches = [(spec, None) for spec in p.layers]
+        for run in (lambda: nn.forward(p, x, mode="train", rng=Prng.derive(1, 2, 0)),
+                    lambda: nn.forward(p, x, mode="infer"),
+                    lambda: nn.forward_frozen(p, x, caches),
+                    lambda: nn.backward(p, caches, np.zeros((2, 7), dtype=np.float32))):
+            with pytest.raises(ShapeMismatchError, match=re.escape(UNWALKABLE[table])):
+                run()
 
 
 class TestSubnormalFlush:

@@ -5,6 +5,7 @@ import pytest
 
 from emotionforge.nn import init_params
 from emotionforge.rng import _BLOCK, _GOLDEN, _mix64, Prng
+from helpers import traced_peak
 
 
 def _splitmix64(state: int):
@@ -132,6 +133,13 @@ def test_block_wise_draws_equal_whole_array_draws(draw, n, first):
     assert a.dtype == b.dtype and a.shape == b.shape == (n,)
     assert a.tobytes() == b.tobytes()
     assert got.uint64(2).tolist() == want.uint64(2).tolist()
+
+
+def test_normal_holds_no_whole_draw_uniform_array():
+    n = 2**21  # fc1's weights
+    # the 16 MiB output and one block of uniforms; all 2n uniforms at once
+    # would take the peak to ~32.5 MiB
+    assert traced_peak(lambda: Prng(0).normal(n)) <= 8 * n + 2 * 2**20
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 5, 2 * _BLOCK - 1])
