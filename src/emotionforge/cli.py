@@ -7,6 +7,8 @@
     infer    single-image prediction record
     stream   per-frame records for a frame directory or stdin manifest
 
+align and augment save each image's files on one writer thread while the
+next image is computed; skips, counts and exit codes are a sequential loop's.
 Exit codes: 0 success, 1 usage error, 2 data error, 3 internal error.
 EMOTION_FORGE_THREADS=N caps BLAS parallelism at N (set before numpy loads).
 """
@@ -35,6 +37,7 @@ _cap_threads()
 
 import argparse
 import glob
+import threading
 import time
 
 import numpy as np
@@ -73,29 +76,87 @@ def _stem(path: str) -> str:
     return os.path.splitext(os.path.basename(path))[0]
 
 
-def _each_image(cmd: str, in_dir: str, work) -> int:
-    """Run ``work(path, name)`` on each PGM in ``in_dir``, skipping bad data; count
-    successes. When any succeed, log the time taken in total and per success."""
-    begin = time.perf_counter()
-    ok = 0
-    for path in _pgm_files(in_dir):
-        name = os.path.basename(path)
+def _writer(jobs, results) -> None:
+    """The writer thread: for each ``(paths, images)`` job taken from ``jobs``
+    until a None, save ``images[i]`` to ``paths[i]`` in order, then put on
+    ``results`` None or what a save raised."""
+    for paths, images in iter(jobs.get, None):
         try:
-            work(path, name)
-            ok += 1
-        except _DATA_ERRORS as exc:
-            _log(f"{cmd}: skipping {name}: {exc}")
-    if ok:
+            for path, img in zip(paths, images):
+                save_pgm(path, img)
+            results.put(None)
+        except BaseException as exc:  # the main thread logs or raises it
+            results.put(exc)
+
+
+def _each_image(cmd: str, in_dir: str, work) -> dict[str, list[str]]:
+    """Run ``work(path, name)`` on each PGM in ``in_dir`` and save the images
+    it returns to the paths it returns with them, ``(paths, images)``; return
+    each image's saved paths by input name. An image whose work or saves raise
+    a data error is skipped.
+
+    One writer thread saves each image while the next is worked on. Results
+    settle in input order, and an input named like an in-flight save waits for
+    it, so skips, counts, the time log and in-place runs are a sequential
+    loop's. The thread is joined before returning, also on an exception.
+    """
+    import queue  # here, not at module load, which every command pays for
+
+    begin = time.perf_counter()
+    saved: dict[str, list[str]] = {}
+    block = np.empty(0, np.uint8)
+    in_flight = None  # (name, out paths) of the image being saved
+
+    def settle():
+        nonlocal in_flight
+        if in_flight:
+            (name, paths), in_flight = in_flight, None
+            exc = results.get()
+            if exc is None:
+                saved[name] = paths
+            elif isinstance(exc, _DATA_ERRORS):
+                _log(f"{cmd}: skipping {name}: {exc}")
+            else:
+                raise exc
+
+    jobs, results = queue.SimpleQueue(), queue.SimpleQueue()
+    writer = threading.Thread(target=_writer, args=(jobs, results))
+    writer.start()
+    try:
+        for path in _pgm_files(in_dir):
+            name = os.path.basename(path)
+            if in_flight and name in map(os.path.basename, in_flight[1]):
+                settle()
+            try:
+                paths, imgs = work(path, name)
+            except _DATA_ERRORS as exc:
+                settle()
+                _log(f"{cmd}: skipping {name}: {exc}")
+                continue
+            settle()
+            # the writer gets copies in one block, reused once it is settled, and
+            # work's own arrays are dropped: arrays held while the next image is
+            # computed would split the heap and raise peak RSS
+            shape = (len(imgs),) + imgs[0].shape
+            if block.shape != shape:
+                block = np.empty(shape, np.uint8)
+            jobs.put((paths, np.stack(imgs, out=block)))
+            in_flight, imgs = (name, paths), None
+        settle()
+    finally:
+        jobs.put(None)
+        writer.join()
+    if saved:
         elapsed = time.perf_counter() - begin
-        _log(f"{cmd}: {elapsed:.4g}s total, {elapsed / ok:.4g} s/image")
-    return ok
+        _log(f"{cmd}: {elapsed:.4g}s total, {elapsed / len(saved):.4g} s/image")
+    return saved
 
 
 def cmd_align(args) -> int:
     def align_one(path, name):
-        save_pgm(os.path.join(args.out, name), align_face(*_load_frame(path)).image)
+        return [os.path.join(args.out, name)], [align_face(*_load_frame(path)).image]
 
-    ok = _each_image("align", args.in_dir, align_one)
+    ok = len(_each_image("align", args.in_dir, align_one))
     print(f"aligned {ok} images")
     return EXIT_OK if ok > 0 else EXIT_DATA
 
@@ -106,27 +167,24 @@ def cmd_augment(args) -> int:
     # read before any variant is written, so a bad manifest fails first
     rows = list(dataset.manifest_rows(args.manifest)) if args.manifest else []
     spec = aug.default_spec()
-    variant_paths: dict[str, list[str]] = {}  # by stem
 
     def augment_one(path, name):
-        stem = _stem(name)
-        paths = []
-        for tag, img in aug.variants(load_pgm(path), spec):
-            paths.append(os.path.join(args.out, f"{stem}__{tag}.pgm"))
-            save_pgm(paths[-1], img)
-        variant_paths[stem] = paths
+        tags, imgs = zip(*aug.variants(load_pgm(path), spec))
+        return [os.path.join(args.out, f"{_stem(name)}__{tag}.pgm") for tag in tags], imgs
 
-    ok = _each_image("augment", args.in_dir, augment_one)
+    saved = _each_image("augment", args.in_dir, augment_one)
     if args.manifest:
-        _replicate_manifest(rows, args.manifest_out, variant_paths)
-    print(f"wrote {sum(map(len, variant_paths.values()))} variants from {ok} images")
-    return EXIT_OK if ok > 0 else EXIT_DATA
+        _replicate_manifest(rows, args.manifest_out, saved)
+    print(f"wrote {sum(map(len, saved.values()))} variants from {len(saved)} images")
+    return EXIT_OK if saved else EXIT_DATA
 
 
-def _replicate_manifest(rows, manifest_out, variant_paths) -> None:
+def _replicate_manifest(rows, manifest_out, saved) -> None:
     """One output manifest line per variant of each ``dataset.manifest_rows``
-    row, labels carried over unchanged; the path is relative to the output
-    manifest, as ``dataset.load_manifest`` reads it."""
+    row whose stem names an image in ``saved``, labels carried over unchanged;
+    the path is relative to the output manifest, as ``dataset.load_manifest``
+    reads it."""
+    variant_paths = {_stem(name): paths for name, paths in saved.items()}
     base = os.path.dirname(os.path.abspath(manifest_out))
     with atomic_write(manifest_out) as dst:
         for _, fields in rows:

@@ -183,7 +183,7 @@ def warp_rotate(img: np.ndarray, angle: float, center: tuple[float, float],
     r0, r1 = y0 * w, y1 * w
     val = (flat.take(r0 + x0) * gx * gy + flat.take(r0 + x1) * fx * gy
            + flat.take(r1 + x0) * gx * fy + flat.take(r1 + x1) * fx * fy)
-    return np.where(inside, _to_u8(val), np.uint8(0))
+    return _to_u8(val) * inside
 
 
 # --- blur kernels -------------------------------------------------------------

@@ -1,14 +1,16 @@
+import errno
 import io
 import os
 import re
 import select
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
 
-from emotionforge import alignment, cli, dataset, imaging, train
+from emotionforge import alignment, augment, cli, dataset, imaging, train
 from emotionforge.cli import main
 from helpers import (UNWALKABLE, fill_disk_after, make_toy_corpus, separator_model,
                      synthetic_face, toy_pattern, unwalkable_model)
@@ -486,6 +488,224 @@ class TestAugmentSkipsBadImages:
         rows = mout.read_text().splitlines()
         assert len(rows) == 56
         assert not any(",happy" in row for row in rows)
+
+
+TAGS = [augment.variant_tag(f, k) for f in augment.DEFAULT_BRIGHTNESS_FACTORS
+        for k in augment.DEFAULT_BLUR_KINDS]
+
+
+def write_sources(src, stems, seed=8):
+    rng = Prng(seed)
+    for stem in stems:
+        imaging.save_pgm(src / f"{stem}.pgm", toy_pattern(0, rng))
+
+
+def fail_nth_save(monkeypatch, prefix, n):
+    """``cli.save_pgm`` fails as a full disk does at the ``n``-th file whose
+    name starts with ``prefix``; every other call saves as before."""
+    save_pgm, seen = cli.save_pgm, []
+
+    def save_or_fail(path, *args):
+        if os.path.basename(path).startswith(prefix):
+            seen.append(path)
+            if len(seen) == n:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return save_pgm(path, *args)
+
+    monkeypatch.setattr(cli, "save_pgm", save_or_fail)
+
+
+def skip_lines(err):
+    return [line for line in err.splitlines() if ": skipping " in line]
+
+
+def augment_in_order(in_dir, out_dir):
+    """The sequential reference: each PGM of ``in_dir``, listed once and
+    sorted, has its variants saved to ``out_dir`` before the next is read."""
+    for name in sorted(n for n in os.listdir(in_dir) if n.endswith(".pgm")):
+        for tag, img in augment.variants(imaging.load_pgm(in_dir / name), augment.default_spec()):
+            imaging.save_pgm(out_dir / f"{name[:-4]}__{tag}.pgm", img)
+
+
+def tree(path):
+    return {name: (path / name).read_bytes() for name in sorted(os.listdir(path))}
+
+
+class TestWriteFailureSkipsItsImage:
+    """A save that fails is charged to its own image: its skip line, the
+    count, the exit code and the replicated manifest read as if that image
+    could not be read."""
+
+    def test_augment(self, tmp_path, monkeypatch, capsys):
+        src, dst = tmp_path / "in", tmp_path / "out"
+        src.mkdir(), dst.mkdir()
+        write_sources(src, "abc")
+        manifest = tmp_path / "m.csv"
+        manifest.write_text("a.pgm,angry\nb.pgm,happy\nc.pgm,sad\n")
+        mout = tmp_path / "m_aug.csv"
+        fail_nth_save(monkeypatch, "b__", 5)
+        assert main(["augment", str(src), "--out", str(dst),
+                     "--manifest", str(manifest), "--manifest-out", str(mout)]) == 0
+        captured = capsys.readouterr()
+        assert skip_lines(captured.err) == [
+            "augment: skipping b.pgm: [Errno 28] No space left on device"]
+        assert captured.out == "wrote 56 variants from 2 images\n"
+        outs = set(os.listdir(dst))
+        assert {f"{stem}__{tag}.pgm" for stem in "ac" for tag in TAGS} <= outs
+        rows = [row.split(",") for row in mout.read_text().splitlines()]
+        assert [(os.path.basename(path), label) for path, label in rows] == (
+            [(f"a__{tag}.pgm", "angry") for tag in TAGS]
+            + [(f"c__{tag}.pgm", "sad") for tag in TAGS])
+
+    @pytest.mark.parametrize("save_fails, truncated", [("b", "c"), ("c", "b"), ("d", "a")])
+    def test_skip_lines_come_in_input_order(self, tmp_path, monkeypatch, capsys,
+                                            save_fails, truncated):
+        src, dst = tmp_path / "in", tmp_path / "out"
+        src.mkdir(), dst.mkdir()
+        write_sources(src, "abcd")
+        whole = (src / f"{truncated}.pgm").read_bytes()
+        (src / f"{truncated}.pgm").write_bytes(whole[: len(whole) // 2])
+        fail_nth_save(monkeypatch, f"{save_fails}__", 5)
+        assert main(["augment", str(src), "--out", str(dst)]) == 0
+        captured = capsys.readouterr()
+        assert [line.split(": ")[1] for line in skip_lines(captured.err)] == [
+            f"skipping {stem}.pgm" for stem in sorted((save_fails, truncated))]
+        assert captured.out == "wrote 56 variants from 2 images\n"
+
+    def test_align(self, tmp_path, monkeypatch, capsys):
+        src, dst = tmp_path / "raw", tmp_path / "aligned"
+        src.mkdir(), dst.mkdir()
+        for i in range(3):
+            write_face_pair(src, f"f{i}")
+        fail_nth_save(monkeypatch, "f1.", 1)
+        assert main(["align", str(src), "--out", str(dst)]) == 0
+        captured = capsys.readouterr()
+        skip, timing = captured.err.splitlines()
+        assert skip == "align: skipping f1.pgm: [Errno 28] No space left on device"
+        assert re.fullmatch(r"align: \S+s total, \S+ s/image", timing)
+        assert captured.out == "aligned 2 images\n"
+        assert sorted(os.listdir(dst)) == ["f0.pgm", "f2.pgm"]
+
+
+class TestWriterThread:
+    """Saves run on one writer thread, and neither it nor a temporary file
+    outlives the command, however the command ends."""
+
+    def test_one_thread_saves_every_file(self, tmp_path, monkeypatch):
+        src, dst = tmp_path / "in", tmp_path / "out"
+        src.mkdir(), dst.mkdir()
+        write_sources(src, "abc")
+        before = threading.active_count()
+        save_pgm, seen = cli.save_pgm, []
+
+        def save_and_record(path, img):
+            seen.append((threading.current_thread(), threading.active_count()))
+            save_pgm(path, img)
+
+        monkeypatch.setattr(cli, "save_pgm", save_and_record)
+        assert main(["augment", str(src), "--out", str(dst)]) == 0
+        assert len(seen) == 84
+        [(thread, count)] = set(seen)
+        assert thread is not threading.main_thread() and count == before + 1
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("ending", ["success", "no_image_readable", "disk_full",
+                                        "interrupt_in_save", "interrupt_in_work"])
+    def test_nothing_outlives_the_command(self, tmp_path, monkeypatch, ending):
+        src, dst = tmp_path / "in", tmp_path / "out"
+        src.mkdir(), dst.mkdir()
+        write_sources(src, "abc")
+        argv = ["augment", str(src), "--out", str(dst)]
+        before = threading.active_count()
+        if ending == "no_image_readable":
+            for stem in "abc":
+                (src / f"{stem}.pgm").write_bytes(b"P5\n4 4\n255\n")
+        if ending == "disk_full":
+            fill_disk_after(monkeypatch, 100)
+        if ending == "interrupt_in_save":
+            save_pgm = cli.save_pgm
+
+            def interrupted(path, img):
+                if os.path.basename(path).startswith("b__"):
+                    with imaging.atomic_write(path) as f:
+                        f.write(b"P5")
+                        raise KeyboardInterrupt
+                save_pgm(path, img)
+
+            monkeypatch.setattr(cli, "save_pgm", interrupted)
+        if ending == "interrupt_in_work":
+            variants, calls = augment.variants, []
+
+            def interrupted(img, spec):  # at the second image, a's saves in flight
+                calls.append(img)
+                if len(calls) == 2:
+                    raise KeyboardInterrupt
+                return variants(img, spec)
+
+            monkeypatch.setattr(augment, "variants", interrupted)
+        if ending.startswith("interrupt"):
+            with pytest.raises(KeyboardInterrupt):
+                main(argv)
+        else:
+            assert main(argv) == (0 if ending == "success" else 2)
+        assert threading.active_count() == before
+        assert not [name for name in os.listdir(dst) if name.endswith(".tmp")]
+        if ending == "interrupt_in_work":  # the first image's saves were finished
+            assert sorted(os.listdir(dst)) == sorted(f"a__{tag}.pgm" for tag in TAGS)
+
+    def test_same_bytes_under_a_short_switch_interval(self, tmp_path):
+        # the writer reads each image's block while the next image is computed;
+        # small images, computed faster than saved, and frequent thread
+        # switches make a block reused too early show
+        src, dst, ref = tmp_path / "in", tmp_path / "out", tmp_path / "ref"
+        src.mkdir(), dst.mkdir(), ref.mkdir()
+        rng = Prng(9)
+        for stem in "abcdef":
+            img = (rng.uniform(16 * 16).reshape(16, 16) * 256).astype(np.uint8)
+            imaging.save_pgm(src / f"{stem}.pgm", img)
+        augment_in_order(src, ref)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert main(["augment", str(src), "--out", str(dst)]) == 0
+        finally:
+            sys.setswitchinterval(interval)
+        assert tree(dst) == tree(ref)
+
+
+class TestInPlaceRuns:
+    """With ``--out`` equal to the input directory, each input is read as a
+    sequential loop over the sorted inputs, saving as it goes, would read it."""
+
+    def test_augment_over_an_earlier_runs_variants(self, tmp_path):
+        src, ref = tmp_path / "in", tmp_path / "ref"
+        src.mkdir(), ref.mkdir()
+        rng = Prng(10)
+        # a source and stale copies of the two variants its fan-out saves
+        # last; the first of them is the next input after a
+        images = {"a": toy_pattern(0, rng), f"a__{TAGS[-2]}": toy_pattern(1, rng),
+                  f"a__{TAGS[-1]}": toy_pattern(1, rng)}
+        for stem, img in images.items():
+            imaging.save_pgm(src / f"{stem}.pgm", img)
+            imaging.save_pgm(ref / f"{stem}.pgm", img)
+        augment_in_order(ref, ref)
+        assert main(["augment", str(src), "--out", str(src)]) == 0
+        assert tree(src) == tree(ref)
+        assert len(tree(src)) == 1 + 3 * 28
+
+    def test_align_into_its_input_directory(self, tmp_path):
+        raw, ref = tmp_path / "raw", tmp_path / "ref"
+        raw.mkdir(), ref.mkdir()
+        for i, gain in enumerate((150, 130, 170)):
+            write_face_pair(raw, f"f{i}", face_gain=gain)
+            write_face_pair(ref, f"f{i}", face_gain=gain)
+        for name in sorted(n for n in os.listdir(ref) if n.endswith(".pgm")):
+            path = str(ref / name)
+            face = alignment.align_face(imaging.load_pgm(path),
+                                        alignment.read_landmarks(alignment.sidecar_path(path)))
+            imaging.save_pgm(path, face.image)
+        assert main(["align", str(raw), "--out", str(raw)]) == 0
+        assert tree(raw) == tree(ref)
 
 
 class TestReplicatedManifestPaths:
