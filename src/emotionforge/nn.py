@@ -13,10 +13,11 @@ EMO-NET, the compact VGG-style stack used throughout (input 1x128x128):
     conv 3x3x128 p1   - relu - maxpool 2x2
     flatten (8192) - fc 256 - relu - dropout 0.5 - fc 7
 
-The forward runs each conv - relu - maxpool row as one block, walked over
-cache-sized chunks of the batch (``_conv_pool_relu``), so a conv's
-full-resolution output never exists for the whole batch. A conv or a
-maxpool outside such a row is a ``ShapeMismatchError``.
+The stack is one list of blocks, walked once each by forward, frozen forward
+and backward with one cache per block. A conv - relu - maxpool row is one
+block, run over cache-sized chunks of the batch, so a conv's full-resolution
+output never exists for the whole batch; a conv or a maxpool outside such a
+row is a ``ShapeMismatchError``.
 
 2,192,391 parameters; about 8.8 MB as float32. ``emo_net_layers`` also
 builds reduced-resolution clones (any input size whose spatial ladder stays
@@ -61,14 +62,13 @@ class LayerSpec:
         return self.kind in (CONV, FC)
 
     @property
-    def weight_shape(self) -> tuple[int, ...] | None:
-        """``(out_ch, in_ch, kh, kw)`` or ``(out_dim, in_dim)``; the bias is
-        ``weight_shape[:1]``. None for a layer without parameters."""
+    def weight_shape(self) -> tuple[int, ...]:
+        """``(out_ch, in_ch, kh, kw)`` of a conv, else ``(out_dim, in_dim)``
+        of an fc; the bias is ``weight_shape[:1]``. Only parametric layers
+        have one."""
         if self.kind == CONV:
             return (self.out_ch, self.in_ch, self.kh, self.kw)
-        if self.kind == FC:
-            return (self.out_dim, self.in_dim)
-        return None
+        return (self.out_dim, self.in_dim)
 
 
 @dataclass
@@ -372,107 +372,92 @@ def dropout_backward(mask: np.ndarray, p: float, upstream: np.ndarray) -> np.nda
 
 # --- whole-network passes --------------------------------------------------------
 
-def _layer_params(params: ModelParams) -> list[tuple]:
-    """Each layer with its (weight, bias), in the order the walks run them.
+def _blocks(params: ModelParams) -> list[tuple]:
+    """The stack as the walks run it: one (spec, weight, bias) per block.
 
-    A layer without parameters gets (None, None). A conv that does not start
-    a conv - relu - maxpool row, or a maxpool that does not end one, raises
-    ``ShapeMismatchError``. A row's relu runs after its maxpool: relu and max
-    commute, and the first-match argmax picks the same element whenever the
-    window's max is > 0 (else relu zeroes the gradient either way), so values
-    and gradients are unchanged while relu works on a quarter of the data.
+    Each conv - relu - maxpool row is one block, named by its conv; every
+    other layer is a block of its own, with (None, None) unless it is an fc.
+    A conv that does not start such a row, or a maxpool that does not end
+    one, raises ``ShapeMismatchError``.
     """
     pairs = iter(zip(params.weights, params.biases))
-    run = [(spec, *(next(pairs) if spec.parametric else (None, None)))
-           for spec in params.layers]
     kinds = [spec.kind for spec in params.layers]
     ends = {i + 2 for i in range(len(kinds)) if kinds[i : i + 3] == [CONV, RELU, MAXPOOL]}
     for i, kind in enumerate(kinds):
         if kind in (CONV, MAXPOOL) and (i + 2 if kind == CONV else i) not in ends:
             raise ShapeMismatchError(f"layer {i} ({kind}) is not in a conv - relu - maxpool row")
-    for i in ends:
-        run[i - 1], run[i] = run[i], run[i - 1]
-    return run
+    # a row's relu and maxpool run in its conv's block
+    return [(spec, *(next(pairs) if spec.parametric else (None, None)))
+            for i, spec in enumerate(params.layers) if i not in ends and i + 1 not in ends]
 
 
-def _conv_pool_relu(block: list[tuple], x: np.ndarray, frozen: list | None,
-                    keep: bool) -> tuple[np.ndarray, list | None]:
-    """A conv -> maxpool -> relu triple of ``_layer_params``, in batch chunks.
+def _conv_pool_relu(spec: LayerSpec, w: np.ndarray, b: np.ndarray, x: np.ndarray,
+                    frozen: tuple | None, keep: bool) -> tuple[np.ndarray, tuple | None]:
+    """A conv block, in batch chunks.
 
     Each cache-sized chunk is convolved, pooled and relu'd (through the
     module's ``conv2d_forward``, ``maxpool_forward`` and ``relu_forward``)
     while it is still in cache, then written into the batch-sized output and
-    int8 argmax; the conv's full-resolution output never exists for the
-    whole batch. Every primitive is per sample, so the chunks change no bit.
-    With ``frozen`` (the triple's caches from a train-mode pass) each chunk's
-    argmax and relu mask come from it. Returns (output, caches): with
-    ``keep``, the triple's caches as a layer-by-layer walk builds them (the
-    conv input, (conv-output shape, argmax), the relu output), else None.
+    int8 argmax. Every primitive is per sample, so the chunks change no bit.
+    The relu runs after the pool, on a quarter of the data: relu and max
+    commute, and the first-match argmax picks the same element whenever the
+    window's max is > 0 (else relu zeroes the gradient either way). With
+    ``frozen`` (the block's cache from a train-mode pass) each chunk's
+    argmax and relu mask come from it. Returns (output, cache): with
+    ``keep``, (conv input, conv-output shape, int8 argmax, output), else None.
     """
-    (conv, w, b), (pool, _, _), (relu, _, _) = block
     n = x.shape[0]
-    ho, wo = conv_out_hw(x.shape[2], x.shape[3], conv)
+    ho, wo = conv_out_hw(x.shape[2], x.shape[3], spec)
     out = idx = None  # shaped by the first chunk, once the primitives have checked it
     for sl in _chunks(n, w[0].size * ho * wo * x.itemsize):
-        y = conv2d_forward(x[sl], w, b, conv.stride, conv.pad)
+        y = conv2d_forward(x[sl], w, b, spec.stride, spec.pad)
         if frozen is None:
             pooled, chunk_idx = maxpool_forward(y, argmax=keep)
             r = relu_forward(pooled)
         else:
-            pooled = np.choose(frozen[1][1][1][sl], _pool_views(y))
-            r = pooled * (frozen[2][1][sl] > 0)
+            pooled = np.choose(frozen[2][sl], _pool_views(y))
+            r = pooled * (frozen[3][sl] > 0)
         if out is None:
             out = np.empty((n, *r.shape[1:]), dtype=r.dtype)
             idx = np.empty(out.shape, dtype=np.int8) if keep else None
         out[sl] = r
         if keep:
             idx[sl] = chunk_idx
-    return out, [(conv, x), (pool, ((n, *y.shape[1:]), idx)), (relu, out)] if keep else None
+    return out, (x, (n, *y.shape[1:]), idx, out) if keep else None
 
 
 def _forward_walk(params: ModelParams, x: np.ndarray, rng: Prng | None = None,
                   frozen: list | None = None,
                   keep: bool = True) -> tuple[np.ndarray, list | None]:
-    """The one walk through the stack; returns (output, caches).
+    """The one walk through ``_blocks``; returns (output, one cache per block).
 
-    Each conv starts a conv -> maxpool -> relu triple (``_layer_params``
-    checks it), run as one ``_conv_pool_relu`` block; every other layer runs
-    on the whole batch. Dropout fires when ``rng`` is given. With ``frozen``
-    (the caches of an earlier train-mode pass), ReLU masks and maxpool argmax
-    are taken from it instead of from ``x``. Without ``keep`` no cache is
-    built, so each activation is freed as soon as the next layer has read it,
-    no maxpool argmax is computed, and caches is None. A relu keeps its
-    output, which the next layer keeps as its input anyway.
+    A conv block runs in ``_conv_pool_relu``; every other block runs on the
+    whole batch. Dropout fires when ``rng`` is given. With ``frozen`` (the
+    caches of an earlier train-mode pass), ReLU masks and maxpool argmax are
+    taken from it instead of from ``x``. Without ``keep`` no cache is built,
+    so each activation is freed as soon as the next block has read it, no
+    maxpool argmax is computed, and caches is None. A relu keeps its output,
+    which the next block keeps as its input anyway.
     """
     caches = [] if keep else None
-    run = _layer_params(params)
-    i = 0
-    while i < len(run):
-        spec, w, b = run[i]
-        if spec.kind == CONV:
-            x, block = _conv_pool_relu(run[i : i + 3], x,
-                                       None if frozen is None else frozen[i : i + 3], keep)
-            if keep:
-                caches += block
-            i += 3
-            continue
+    for i, (spec, w, b) in enumerate(_blocks(params)):
+        routing = None if frozen is None else frozen[i]
         cache = x  # fc keeps its input for backward
-        if spec.kind == RELU:
-            x = cache = relu_forward(x) if frozen is None else x * (frozen[i][1] > 0)
+        if spec.kind == CONV:
+            x, cache = _conv_pool_relu(spec, w, b, x, routing, keep)
+        elif spec.kind == RELU:
+            x = cache = relu_forward(x) if routing is None else x * (routing > 0)
         elif spec.kind == FLATTEN:
             cache = x.shape
             x = x.reshape(x.shape[0], -1)
         elif spec.kind == FC:
             x = fc_forward(x, w, b)
-        elif spec.kind == DROPOUT:
+        else:  # dropout
             cache = None
             if rng is not None:
                 x, cache = dropout_forward(x, DROPOUT_P, rng)
-        else:
-            raise ValueError(f"unknown layer kind {spec.kind!r}")
         if keep:
-            caches.append((spec, cache))
-        i += 1
+            caches.append(cache)
     return x, caches
 
 
@@ -516,34 +501,33 @@ def backward(params: ModelParams, caches: list, dlogits: np.ndarray):
     Subnormal dlogits entries count as 0: numpy cannot set FTZ/DAZ, and once
     the loss saturates they would slow every layer's backward several-fold.
     """
-    run = _layer_params(params)
-    if len(caches) != len(params.layers):
-        raise StaleCacheError("cache count does not match layer count")
+    blocks = _blocks(params)
+    if len(caches) != len(blocks):
+        raise StaleCacheError("cache count does not match block count")
     last_fc = params.layers[-1]
     if dlogits.ndim != 2 or dlogits.shape[1] != last_fc.out_dim:
         raise StaleCacheError(f"dlogits shape {dlogits.shape} does not match head")
-    grads = []  # (dw, db) per parametric layer, last layer first
+    grads = []  # (dw, db) per parametric block, last block first
     dx = np.where(np.abs(dlogits) < np.finfo(dlogits.dtype).tiny, 0, dlogits)
-    walk = reversed(list(enumerate(zip(run, caches))))
-    for i, ((spec, w, _), (_, cache)) in walk:
-        if spec.parametric and cache.shape[0] != dx.shape[0]:
+    for i, ((spec, w, _), cache) in reversed(list(enumerate(zip(blocks, caches)))):
+        x = cache[0] if spec.kind == CONV else cache  # a parametric block's input
+        if spec.parametric and x.shape[0] != dx.shape[0]:
             raise StaleCacheError("batch size changed between forward and backward")
         if spec.kind == CONV:
-            # nothing reads the input gradient of the first layer
-            dx, dw, db = conv2d_backward(cache, w, dx, spec.stride, spec.pad, input_grad=i > 0)
+            _, y_shape, idx, out = cache
+            dx = relu_backward(out, dx)
+            dx = maxpool_backward(y_shape, idx, dx)
+            # nothing reads the input gradient of the first block
+            dx, dw, db = conv2d_backward(x, w, dx, spec.stride, spec.pad, input_grad=i > 0)
             grads.append((dw, db))
         elif spec.kind == RELU:
             dx = relu_backward(cache, dx)
-        elif spec.kind == MAXPOOL:
-            x_shape, idx = cache
-            dx = maxpool_backward(x_shape, idx, dx)
         elif spec.kind == FLATTEN:
             dx = dx.reshape(cache)
         elif spec.kind == FC:
-            dx, dw, db = fc_backward(cache, w, dx)
+            dx, dw, db = fc_backward(x, w, dx)
             grads.append((dw, db))
-        elif spec.kind == DROPOUT:
-            if cache is not None:
-                dx = dropout_backward(cache, DROPOUT_P, dx)
+        elif cache is not None:  # dropout that fired
+            dx = dropout_backward(cache, DROPOUT_P, dx)
     grads.reverse()
     return [dw for dw, _ in grads], [db for _, db in grads]

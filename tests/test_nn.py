@@ -349,6 +349,10 @@ class TestForwardBackward:
             nn.backward(p, caches, np.zeros((4, 7), dtype=np.float32))
         with pytest.raises(StaleCacheError):
             nn.backward(p, caches[:-1], np.zeros((2, 7), dtype=np.float32))
+        # the first conv block's cache from a forward at another batch size
+        _, other = nn.forward(p, x[:1], mode="train")
+        with pytest.raises(StaleCacheError):
+            nn.backward(p, other[:1] + caches[1:], np.zeros((2, 7), dtype=np.float32))
 
 
 # --- reference kernels (window-copy maxpool, tensordot dw), the bit-exact oracles ---
@@ -606,22 +610,17 @@ def plant_ties_and_nans(x, samples):
     return x
 
 
-def conv_block(spec, w, b):
-    """The conv -> maxpool -> relu triple the forward walk runs as one block."""
-    return [(spec, w, b), (nn.LayerSpec(nn.MAXPOOL), None, None), (nn.LayerSpec(nn.RELU), None, None)]
-
-
 def assert_block_is_unfused(block, x, y):
     """The block's train-mode output and caches, and its infer-mode output,
     are those of pooling and relu'ing ``y``, its conv's whole-batch output."""
     ref_pooled, ref_idx = ref_whole_batch_maxpool_forward(y)
     ref_out = nn.relu_forward(ref_pooled)
-    out, caches = nn._conv_pool_relu(block, x, None, keep=True)
+    out, cache = nn._conv_pool_relu(*block, x, None, keep=True)
     assert same_bits(out, ref_out)
-    (_, conv_in), (_, (y_shape, idx)), (_, relu_out) = caches
+    conv_in, y_shape, idx, relu_out = cache
     assert conv_in is x and y_shape == y.shape and relu_out is out
     assert same_bits(idx, ref_idx)
-    infer_out, none = nn._conv_pool_relu(block, x, None, keep=False)
+    infer_out, none = nn._conv_pool_relu(*block, x, None, keep=False)
     assert none is None and same_bits(infer_out, ref_out)
 
 
@@ -635,13 +634,13 @@ class TestChunkedKernels:
         # the conv block's chunks against one whole-batch conv, pool and relu
         w = rnd(spec.weight_shape, 60, dtype=dtype)
         b = rnd((spec.out_ch,), 61, dtype=dtype)
-        block = conv_block(spec, w, b)
+        block = spec, w, b
 
         def inputs(n):
             return rnd((n, spec.in_ch, hw, hw), 62, dtype=dtype)
 
         step, batches = chunk_boundary_batches(
-            monkeypatch, lambda n: nn._conv_pool_relu(block, inputs(n), None, keep=True))
+            monkeypatch, lambda n: nn._conv_pool_relu(*block, inputs(n), None, keep=True))
         for n in batches:
             x = plant_ties_and_nans(inputs(n), {min(step, n) - 1, n - 1})
             pad = ((0, 0), (0, 0), (spec.pad, spec.pad), (spec.pad, spec.pad))
@@ -675,14 +674,14 @@ class TestChunkedKernels:
     def test_maxpool(self, monkeypatch, c, hw, dtype):
         # the block's pool and relu chunks, on planted values: its conv is
         # replaced by the identity, which a 1x1 conv of c channels sizes
-        block = conv_block(nn.LayerSpec(nn.CONV, in_ch=c, out_ch=c, kh=1, kw=1, stride=1),
-                           np.zeros((c, c, 1, 1), dtype=dtype), np.zeros(c, dtype=dtype))
+        block = (nn.LayerSpec(nn.CONV, in_ch=c, out_ch=c, kh=1, kw=1, stride=1),
+                 np.zeros((c, c, 1, 1), dtype=dtype), np.zeros(c, dtype=dtype))
 
         def inputs(n):
             return rnd((n, c, hw, hw), 66, dtype=dtype)
 
         step, batches = chunk_boundary_batches(
-            monkeypatch, lambda n: nn._conv_pool_relu(block, inputs(n), None, keep=True))
+            monkeypatch, lambda n: nn._conv_pool_relu(*block, inputs(n), None, keep=True))
         monkeypatch.setattr(nn, "conv2d_forward", lambda x, w, b, stride, pad: x.copy())
         for n in batches:
             last = {min(step, n) - 1, n - 1}
@@ -716,22 +715,24 @@ class TestChunkedKernels:
 
 
 def unfused_walk(p, x, frozen=None):
-    """The layer-by-layer walk that the conv blocks replace: whole-batch
-    conv2d_forward, maxpool_forward and relu_forward in ``_layer_params``'
-    order, dropout off. With ``frozen``, argmax and relu masks come from it."""
+    """The walk without the conv blocks' chunks: ``_blocks`` in order, a
+    conv block as whole-batch conv2d_forward, maxpool_forward and
+    relu_forward, dropout off. With ``frozen``, argmax and relu masks come
+    from it."""
     caches = []
-    for i, (spec, w, b) in enumerate(nn._layer_params(p)):
-        routing = None if frozen is None else frozen[i][1]
+    for i, (spec, w, b) in enumerate(nn._blocks(p)):
+        routing = None if frozen is None else frozen[i]
         cache = x
         if spec.kind == nn.CONV:
-            x = nn.conv2d_forward(x, w, b, spec.stride, spec.pad)
-        elif spec.kind == nn.MAXPOOL:
+            y = nn.conv2d_forward(x, w, b, spec.stride, spec.pad)
             if routing is None:
-                x, idx = nn.maxpool_forward(x)
+                x, idx = nn.maxpool_forward(y)
+                x = nn.relu_forward(x)
             else:
-                idx = routing[1]
-                x = np.choose(idx, nn._pool_views(x))
-            cache = (cache.shape, idx)
+                idx = routing[2]
+                x = np.choose(idx, nn._pool_views(y))
+                x = x * (routing[3] > 0)
+            cache = (cache, y.shape, idx, x)
         elif spec.kind == nn.RELU:
             x = cache = nn.relu_forward(x) if routing is None else x * (routing > 0)
         elif spec.kind == nn.FLATTEN:
@@ -741,16 +742,17 @@ def unfused_walk(p, x, frozen=None):
             x = nn.fc_forward(x, w, b)
         else:
             cache = None
-        caches.append((spec, cache))
+        caches.append(cache)
     return x, caches
 
 
 def assert_same_caches(caches, ref):
     assert len(caches) == len(ref)
-    for (spec, cache), (ref_spec, ref_cache) in zip(caches, ref):
-        assert spec == ref_spec
-        if spec.kind == nn.MAXPOOL:
-            assert cache[0] == ref_cache[0] and same_bits(cache[1], ref_cache[1])
+    for cache, ref_cache in zip(caches, ref):
+        if isinstance(ref_cache, tuple) and isinstance(ref_cache[0], np.ndarray):
+            # a conv block's (conv input, conv-output shape, int8 argmax, output)
+            assert len(cache) == 4 and cache[1] == ref_cache[1]
+            assert all(same_bits(cache[j], ref_cache[j]) for j in (0, 2, 3))
         elif isinstance(ref_cache, np.ndarray):
             assert same_bits(cache, ref_cache)
         else:
@@ -776,7 +778,7 @@ BLOCK_CASES = [(n, np.float32, 128) for n in (64, 48, 16, 1)] + \
 
 class TestConvBlocks:
     """The forward walk's conv -> maxpool -> relu blocks give the bits, the
-    caches and the int8 argmax of the layer-by-layer walk, and hold no
+    caches and the int8 argmax of the walk without chunks, and hold no
     full-resolution activation of the whole batch."""
 
     @pytest.mark.parametrize("n,dtype,hw", BLOCK_CASES,
@@ -790,7 +792,8 @@ class TestConvBlocks:
         ref_logits, ref_caches = unfused_walk(p, x)
         assert same_bits(logits, ref_logits)
         assert_same_caches(caches, ref_caches)
-        assert [c[1].dtype for s, c in caches if s.kind == nn.MAXPOOL] == [np.int8] * 3
+        assert [c[2].dtype for (s, _, _), c in zip(nn._blocks(p), caches)
+                if s.kind == nn.CONV] == [np.int8] * 3
         assert same_bits(nn._forward_walk(p, x, keep=False)[0], ref_logits)
         x2 = rnd(x.shape, 95, dtype=dtype)  # another point, under the frozen routing
         assert same_bits(nn.forward_frozen(p, x2, caches), unfused_walk(p, x2, ref_caches)[0])

@@ -20,6 +20,10 @@ class C:
 
 def test_every_statement_but_docstrings_when_nothing_ran():
     assert unreached(SOURCE, set()) == [5, 7, 8, 9, 13, 15]
+    # a global or nonlocal declaration runs no line, so it is no statement
+    declarations = ("def f():\n    global g\n    x = 0\n\n"
+                    "    def h():\n        nonlocal x\n        x = 1\n")
+    assert unreached(declarations, {3, 7}) == []
 
 
 def test_a_statement_counts_when_any_line_it_spans_ran():

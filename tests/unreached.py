@@ -7,8 +7,9 @@ Run it from the repository root, with the suite's usual arguments:
 It records every line run in ``src/emotionforge/*.py``, in every thread,
 with ``sys.settrace`` and ``threading.settrace`` (the standard library only;
 ``coverage`` is not needed). At the end of the session it writes each
-statement that no test executed as ``file:line: source``. Docstrings are not
-statements here. A statement counts as executed when any line it spans ran,
+statement that no test executed as ``file:line: source``. Docstrings and
+``global``/``nonlocal`` declarations, which run no line, are not statements
+here. A statement counts as executed when any line it spans ran,
 so an ``if``, ``for`` or ``def`` counts when its header or its body did.
 Code run in a subprocess is not seen, and tracing makes the suite slower.
 """
@@ -47,7 +48,7 @@ def _trace(frame, event, arg):
 
 def unreached(source: str, ran: set[int]) -> list[int]:
     """The first line of each statement in ``source`` that spans no line in
-    ``ran``, in order; docstrings excluded."""
+    ``ran``, in order; docstrings and declarations excluded."""
     tree = ast.parse(source)
     docstrings = {id(node.body[0]) for node in ast.walk(tree)
                   if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
@@ -55,7 +56,8 @@ def unreached(source: str, ran: set[int]) -> list[int]:
                   and ast.get_docstring(node) is not None}
     found = set()
     for node in ast.walk(tree):
-        if not isinstance(node, ast.stmt) or id(node) in docstrings:
+        if (not isinstance(node, ast.stmt) or id(node) in docstrings
+                or isinstance(node, (ast.Global, ast.Nonlocal))):
             continue
         first = min([node.lineno] + [d.lineno for d in getattr(node, "decorator_list", [])])
         if ran.isdisjoint(range(first, node.end_lineno + 1)):
