@@ -37,7 +37,6 @@ _cap_threads()
 
 import argparse
 import glob
-import threading
 import time
 
 import numpy as np
@@ -76,53 +75,41 @@ def _stem(path: str) -> str:
     return os.path.splitext(os.path.basename(path))[0]
 
 
-def _writer(jobs, results) -> None:
-    """The writer thread: for each ``(paths, images)`` job taken from ``jobs``
-    until a None, save ``images[i]`` to ``paths[i]`` in order, then put on
-    ``results`` None or what a save raised."""
-    for paths, images in iter(jobs.get, None):
-        try:
-            for path, img in zip(paths, images):
-                save_pgm(path, img)
-            results.put(None)
-        except BaseException as exc:  # the main thread logs or raises it
-            results.put(exc)
-
-
 def _each_image(cmd: str, in_dir: str, work) -> dict[str, list[str]]:
     """Run ``work(path, name)`` on each PGM in ``in_dir`` and save the images
     it returns to the paths it returns with them, ``(paths, images)``; return
     each image's saved paths by input name. An image whose work or saves raise
     a data error is skipped.
 
-    One writer thread saves each image while the next is worked on. Results
-    settle in input order, and an input named like an in-flight save waits for
-    it, so skips, counts, the time log and in-place runs are a sequential
-    loop's. The thread is joined before returning, also on an exception.
+    A one-worker executor saves each image while the next is worked on.
+    Results settle in input order, and an input named like an in-flight save
+    waits for it, so skips, counts, the time log and in-place runs are a
+    sequential loop's. The worker is joined before returning, also on an error.
     """
-    import queue  # here, not at module load, which every command pays for
+    # here, not at module load, which every command pays for
+    from concurrent.futures import ThreadPoolExecutor
 
     begin = time.perf_counter()
     saved: dict[str, list[str]] = {}
     block = np.empty(0, np.uint8)
-    in_flight = None  # (name, out paths) of the image being saved
+    in_flight = None  # (name, out paths, future) of the image being saved
+
+    def save_all(paths, images):
+        for path, img in zip(paths, images):
+            save_pgm(path, img)
 
     def settle():
         nonlocal in_flight
         if in_flight:
-            (name, paths), in_flight = in_flight, None
-            exc = results.get()
-            if exc is None:
-                saved[name] = paths
-            elif isinstance(exc, _DATA_ERRORS):
+            (name, paths, future), in_flight = in_flight, None
+            try:
+                future.result()
+            except _DATA_ERRORS as exc:
                 _log(f"{cmd}: skipping {name}: {exc}")
             else:
-                raise exc
+                saved[name] = paths
 
-    jobs, results = queue.SimpleQueue(), queue.SimpleQueue()
-    writer = threading.Thread(target=_writer, args=(jobs, results))
-    writer.start()
-    try:
+    with ThreadPoolExecutor(max_workers=1) as writer:
         for path in _pgm_files(in_dir):
             name = os.path.basename(path)
             if in_flight and name in map(os.path.basename, in_flight[1]):
@@ -140,12 +127,9 @@ def _each_image(cmd: str, in_dir: str, work) -> dict[str, list[str]]:
             shape = (len(imgs),) + imgs[0].shape
             if block.shape != shape:
                 block = np.empty(shape, np.uint8)
-            jobs.put((paths, np.stack(imgs, out=block)))
-            in_flight, imgs = (name, paths), None
+            future = writer.submit(save_all, paths, np.stack(imgs, out=block))
+            in_flight, imgs = (name, paths, future), None
         settle()
-    finally:
-        jobs.put(None)
-        writer.join()
     if saved:
         elapsed = time.perf_counter() - begin
         _log(f"{cmd}: {elapsed:.4g}s total, {elapsed / len(saved):.4g} s/image")
@@ -349,7 +333,7 @@ def main(argv=None) -> int:
     except _DATA_ERRORS as exc:
         _log(f"error: {type(exc).__name__}: {exc}")
         return EXIT_DATA
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:  # a fault in the program, not in its input
         _log(f"internal error: {type(exc).__name__}: {exc}")
         return EXIT_INTERNAL
 

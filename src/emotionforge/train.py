@@ -39,6 +39,7 @@ from .errors import (
     ShapeMismatchError,
     VersionMismatchError,
 )
+from .evaluate import regression_to_class
 from .imaging import atomic_write
 from .nn import (
     CONV, DROPOUT, FC, FLATTEN, MAXPOOL, RELU,
@@ -116,8 +117,8 @@ def _predict_batches(params: ModelParams, samples: list[Sample], mode: str,
                      batch_size: int = 64):
     """(batch, logits, class labels) per batch of ``samples``, in manifest order.
 
-    A label is the class target, or in regression mode the argmax of the
-    intensity target. Each sample is decoded once.
+    A label is the class target, or in regression mode ``regression_to_class``
+    of the intensity target. Each sample is decoded once.
     """
     if not samples:
         raise EmptyDatasetError("empty evaluation set")
@@ -125,7 +126,7 @@ def _predict_batches(params: ModelParams, samples: list[Sample], mode: str,
         batch = load_batch_inputs(samples[start : start + batch_size])
         logits = forward(params, batch.inputs, mode="infer")
         yield batch, logits, (batch.class_targets if mode == "classification"
-                              else batch.intensity_targets.argmax(axis=1))
+                              else regression_to_class(batch.intensity_targets))
 
 
 def evaluate_dataset(params: ModelParams, samples: list[Sample], mode: str,

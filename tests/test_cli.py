@@ -610,8 +610,9 @@ class TestWriterThread:
         assert threading.active_count() == before
 
     @pytest.mark.parametrize("ending", ["success", "no_image_readable", "disk_full",
-                                        "interrupt_in_save", "interrupt_in_work"])
-    def test_nothing_outlives_the_command(self, tmp_path, monkeypatch, ending):
+                                        "interrupt_in_save", "interrupt_in_work",
+                                        "bug_in_save"])
+    def test_nothing_outlives_the_command(self, tmp_path, monkeypatch, capsys, ending):
         src, dst = tmp_path / "in", tmp_path / "out"
         src.mkdir(), dst.mkdir()
         write_sources(src, "abc")
@@ -622,14 +623,15 @@ class TestWriterThread:
                 (src / f"{stem}.pgm").write_bytes(b"P5\n4 4\n255\n")
         if ending == "disk_full":
             fill_disk_after(monkeypatch, 100)
-        if ending == "interrupt_in_save":
+        if ending in ("interrupt_in_save", "bug_in_save"):
             save_pgm = cli.save_pgm
+            fault = KeyboardInterrupt if ending == "interrupt_in_save" else RuntimeError("bug")
 
             def interrupted(path, img):
                 if os.path.basename(path).startswith("b__"):
                     with imaging.atomic_write(path) as f:
                         f.write(b"P5")
-                        raise KeyboardInterrupt
+                        raise fault
                 save_pgm(path, img)
 
             monkeypatch.setattr(cli, "save_pgm", interrupted)
@@ -647,7 +649,9 @@ class TestWriterThread:
             with pytest.raises(KeyboardInterrupt):
                 main(argv)
         else:
-            assert main(argv) == (0 if ending == "success" else 2)
+            assert main(argv) == {"success": 0, "bug_in_save": 3}.get(ending, 2)
+        if ending == "bug_in_save":  # not a data error, so no skip but exit 3
+            assert "internal error: RuntimeError: bug" in capsys.readouterr().err
         assert threading.active_count() == before
         assert not [name for name in os.listdir(dst) if name.endswith(".tmp")]
         if ending == "interrupt_in_work":  # the first image's saves were finished
@@ -671,6 +675,17 @@ class TestWriterThread:
         finally:
             sys.setswitchinterval(interval)
         assert tree(dst) == tree(ref)
+
+
+def test_loading_the_cli_imports_no_executor_or_logging():
+    # align and augment import their writer's executor when they run; loading
+    # it, and the logging it imports, with the module would slow every command
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = ("import sys, emotionforge.cli as cli; cli.build_parser(); "
+            "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))")
+    run = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         check=True, capture_output=True, text=True, timeout=60)
+    assert run.stdout == "[]\n"
 
 
 class TestInPlaceRuns:

@@ -120,6 +120,8 @@ class TestManifest:
         man.write_text(f"{paths[0]},joyful\n")
         with pytest.raises(UnknownClassNameError):
             dataset.load_manifest(man, "classification")
+        with pytest.raises(ValueError, match="mode must be one of"):
+            dataset.load_manifest(man, "ranking")
 
     def test_missing_intensity(self, corpus):
         tmp, paths = corpus

@@ -103,6 +103,8 @@ class TestPgm:
     def test_non_numeric_field(self):
         with pytest.raises(MalformedHeaderError):
             imaging.read_pgm(b"P5 two 2 255 " + bytes(4))
+        with pytest.raises(MalformedHeaderError, match="bad dimensions 0x4"):
+            imaging.read_pgm(b"P5 0 4 255 ")
 
     def test_bad_maxval(self):
         with pytest.raises(UnsupportedMaxvalError):

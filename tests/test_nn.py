@@ -340,6 +340,8 @@ class TestForwardBackward:
         p = nn.init_params(seed=8, input_hw=16)
         with pytest.raises(ShapeMismatchError):
             nn.forward(p, np.zeros((1, 3, 16, 16), dtype=np.float32))
+        with pytest.raises(ValueError, match="mode must be train or infer"):
+            nn.forward(p, np.zeros((1, 1, 16, 16), dtype=np.float32), mode="eval")
 
     def test_stale_cache(self):
         p = nn.init_params(seed=9, input_hw=16)

@@ -159,6 +159,8 @@ class TestSgdStep:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatchError):
             train.sgd_step([np.zeros(2)], [np.zeros(3)], [np.zeros(2)], 0.1, 0.9)
+        with pytest.raises(ShapeMismatchError, match="lengths differ"):
+            train.sgd_step([np.zeros(2)], [np.zeros(2)], [], 0.1, 0.9)
 
 
 class TestTrainLoop:
